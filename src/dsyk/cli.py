@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalContractError, ResourceLimitError, ValidationError
+from .errors import (
+    FitError, NumericalContractError, ResourceLimitError, ValidationError)
 from .majorana import OperatorVector, sample_syk
 from .lindblad import DissipativeModel, lindbladian_apply
 from .krylov import arnoldi, diagonal_slope_fit, hessenberg_error
@@ -59,6 +60,13 @@ def write_csv(path, manifest, header, rows):
                              else str(v) for v in row) + "\n")
 
 
+def _write_hessenberg_csv(path, manifest, hm):
+    """Nonzero band of the Hessenberg matrix as (m, n, re, im) rows."""
+    rows = [(m_, n_, hm.h[m_, n_].real, hm.h[m_, n_].imag)
+            for n_ in range(hm.basis_dim) for m_ in range(min(n_ + 2, hm.basis_dim))]
+    write_csv(path, manifest, ["m", "n", "re", "im"], rows)
+
+
 def _manifest(args, **extra):
     m = {"tool": "dsyk", "version": __version__, "subcommand": args.command}
     m.update(extra)
@@ -78,27 +86,21 @@ def _run_finite_n(n, q, coupling, mu, seed, n_max, reorth, out_dir, args_ns):
                          n_max=n_max, reorth=reorth, rng="numpy PCG64",
                          basis_dim=hm.basis_dim)
     tag = f"N{n}_q{q}_mu{mu}_seed{seed}"
-    rows = [(m_, n_, hm.h[m_, n_].real, hm.h[m_, n_].imag)
-            for n_ in range(hm.basis_dim) for m_ in range(min(n_ + 2, hm.basis_dim))]
-    write_csv(out_dir / f"hessenberg_{tag}.csv", manifest,
-              ["m", "n", "re", "im"], rows)
+    _write_hessenberg_csv(out_dir / f"hessenberg_{tag}.csv", manifest, hm)
     diag_rows = []
     for k in range(hm.basis_dim):
         e = eps[k - 1] if 1 <= k <= eps.size else 0.0
         diag_rows.append((k, hm.h[k, k].real, hm.h[k, k].imag,
                           hm.h[k + 1, k].real if k + 1 < hm.basis_dim else 0.0, e))
-    fit = None
+    manifest2 = dict(manifest)
     if mu > 0:
         window_hi = max(2, n // q)
         try:
             slope, r2 = diagonal_slope_fit(hm, 1, window_hi)
-            fit = {"slope": slope, "r2": r2, "chi": slope / mu,
-                   "window": [1, window_hi]}
-        except Exception:
-            fit = None
-    manifest2 = dict(manifest)
-    if fit:
-        manifest2["diagonal_fit"] = fit
+            manifest2["diagonal_fit"] = {"slope": slope, "r2": r2, "chi": slope / mu,
+                                         "window": [1, window_hi]}
+        except FitError as e:
+            manifest2["diagonal_fit_error"] = str(e)
     write_csv(out_dir / f"diagnostics_{tag}.csv", manifest2,
               ["n", "re_hnn", "im_hnn", "subdiag", "eps"], diag_rows)
     return tag
@@ -143,11 +145,8 @@ def cmd_large_n(args):
         manifest = _manifest(args, q=q, mu=args.mu, n_max=args.nmax,
                              j_sq=float(space.j_sq), reorth=True,
                              basis_dim=hm.basis_dim)
-        rows = [(m_, n_, hm.h[m_, n_].real, hm.h[m_, n_].imag)
-                for n_ in range(hm.basis_dim)
-                for m_ in range(min(n_ + 2, hm.basis_dim))]
-        write_csv(out_dir / f"largen_hessenberg_q{q}_mu{args.mu}.csv", manifest,
-                  ["m", "n", "re", "im"], rows)
+        _write_hessenberg_csv(out_dir / f"largen_hessenberg_q{q}_mu{args.mu}.csv",
+                             manifest, hm)
         erows = [(k + 1, eps[k]) for k in range(eps.size)]
         write_csv(out_dir / f"largen_eps_q{q}_mu{args.mu}.csv", manifest,
                   ["n", "eps"], erows)

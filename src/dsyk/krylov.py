@@ -1,14 +1,18 @@
-"""Arnoldi iteration and Lanczos specialization over abstract operator spaces.
+"""Arnoldi iteration and the monic Lanczos recurrence over abstract operator spaces.
 
 The routines only need the vector operations +, -, scalar *, and an inner
 product, so they run unchanged over numpy arrays, sparse Majorana-string
-operators, and large-N diagram states.  Full reorthogonalization is on by
-default: the structural diagnostics (the per-column deviation from a
-symmetric tridiagonal matrix) are meaningless under Gram-Schmidt drift.
+operators, and large-N diagram states; Lanczos also over exact rational
+diagram states.  Full reorthogonalization is on by default in Arnoldi and
+always on in Lanczos: the structural diagnostics (the per-column deviation
+from a symmetric tridiagonal matrix) are meaningless under Gram-Schmidt
+drift.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +20,15 @@ import numpy as np
 from .errors import FitError, NormalizationError, NumericalContractError
 
 
-def _inner(a, b):
+def _dot(a, b):
+    """<a, b> in the vector type's own scalar ring, conjugate-linear in a."""
     if isinstance(a, np.ndarray):
-        return complex(np.vdot(a, b))
-    return complex(a.inner(b))
+        return np.vdot(a, b)
+    return a.inner(b)
+
+
+def _inner(a, b):
+    return complex(_dot(a, b))
 
 
 def _norm(v):
@@ -120,56 +129,69 @@ def arnoldi(apply, o0, n_max, reorth=True, breakdown_rtol=1e-10):
     return HessenbergMatrix(h=h, basis_dim=n_max + 1), basis
 
 
-def lanczos(apply, o0, n_max, reorth=True, hermiticity_rtol=1e-8,
-            breakdown_rtol=1e-10, return_basis=False, last_diagonal=True):
-    """Hermitian three-term recurrence; errors out if apply is not Hermitian.
+def lanczos(apply, u0, n_max, last_diagonal=True, hermiticity_rtol=1e-8,
+            breakdown_rtol=1e-10):
+    """Monic Hermitian three-term recurrence; returns (TridiagonalCoeffs, basis).
 
-    Non-Hermiticity is detected from the overlap with the (k-1)-th basis
-    vector, which for a Hermitian map must equal the previous b (real).
+    u_(k+1) = L u_k - a_k u_k - b_k^2 u_(k-1), with a_k = <u_k, L u_k>/h_k,
+    b_(k+1)^2 = h_(k+1)/h_k and h_k = <u_k, u_k>.  No square roots are
+    taken, so the recurrence runs unchanged in any scalar ring the vector
+    type uses: floats, complex numbers or exact Fractions.  The basis is
+    returned monic (unnormalized) and u0 need not have unit norm.
+
+    Full reorthogonalization is always applied.  An exact (rational)
+    projection coefficient must vanish, and a nonzero one raises, so in
+    Fraction arithmetic orthogonality is asserted rather than assumed.
+    Non-Hermiticity is detected from a complex a_k and from the overlap
+    <u_(k-1), L u_k>, which for a Hermitian map equals h_k.
     last_diagonal=False skips the final application of the map, recording
     a_n_max = 0 instead; appropriate for maps that change a conserved
     grading by one, where every diagonal element vanishes identically
     (and where that last application would be by far the most expensive).
     """
-    if abs(_norm(o0) - 1.0) > 1e-12:
-        raise NormalizationError(f"initial operator has norm {_norm(o0)!r}, expected 1")
+    basis = [u0]
+    norms = [_dot(u0, u0).real]
     a = []
-    b = []
-    basis = [o0]
+    b_sq = []
     scale = None
     for k in range(n_max + 1):
         if k == n_max and not last_diagonal:
-            a.append(0.0)
+            a.append(0)
             break
         u = apply(basis[k])
+        h = norms[k]
         if scale is None:
-            scale = max(_norm(u), 1e-300)
-        ak = _inner(basis[k], u)
+            scale = max(math.sqrt(abs(_dot(u, u)) / abs(h)), 1e-300)
+        ak = _dot(basis[k], u) / h
         if abs(ak.imag) > hermiticity_rtol * scale:
             raise NumericalContractError(
                 f"non-Hermitian map: a_{k} = {ak} has large imaginary part")
         a.append(ak.real)
         if k > 0:
-            back = _inner(basis[k - 1], u)
-            if abs(back - b[-1]) > hermiticity_rtol * scale:
+            back = _dot(basis[k - 1], u)
+            tol = hermiticity_rtol * scale * math.sqrt(abs(h * norms[k - 1]))
+            if abs(back - h) > tol:
                 raise NumericalContractError(
-                    f"non-Hermitian map: back-coupling {back} != b_{k} = {b[-1]}")
-            u = _axpy(u, -b[-1], basis[k - 1])
+                    f"non-Hermitian map: back-coupling {back} != h_{k} = {h}")
+            u = _axpy(u, -b_sq[-1], basis[k - 1])
         u = _axpy(u, -a[-1], basis[k])
-        if reorth:
-            for v in basis:
-                u = _axpy(u, -_inner(v, u), v)
+        for v, hv in zip(basis, norms):
+            c = _dot(v, u) / hv
+            if not isinstance(c, numbers.Rational):
+                u = _axpy(u, -c, v)
+            elif c:
+                raise NumericalContractError(
+                    f"monic recurrence lost exact orthogonality at step {k}")
         if k == n_max:
             break
-        bk = _norm(u)
-        if bk < breakdown_rtol * scale:
+        h_next = _dot(u, u).real
+        if h_next <= (breakdown_rtol * scale) ** 2 * h:
             break
-        b.append(bk)
-        basis.append(u * (1.0 / bk))
-    coeffs = TridiagonalCoeffs(a=a, b=b)
-    if return_basis:
-        return coeffs, basis
-    return coeffs
+        b_sq.append(h_next / h)
+        basis.append(u)
+        norms.append(h_next)
+    b = [math.sqrt(float(x)) for x in b_sq]
+    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq), basis
 
 
 def hessenberg_error(hm: HessenbergMatrix):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NormalizationError, NumericalContractError, ValidationError
+from .errors import NormalizationError, ValidationError
 from .krylov import TridiagonalCoeffs, lanczos
 from .trees import TreeSpace
 
@@ -247,54 +247,30 @@ def make_dissipative_apply(space: DiagramSpace, mu: float):
     return apply
 
 
-def lanczos_large_n(q_mode, n_max, j_sq=None, max_trees=2_000_000, reorth=True):
-    """Large-N Lanczos from the bare fermion; returns (coeffs, basis states).
+def lanczos_large_n(q_mode, n_max, j_sq=None, max_trees=2_000_000):
+    """Large-N Lanczos; returns (coeffs, basis states), basis[n] in generation n.
 
     q_mode None runs the strict large-q engine in exact rational
-    arithmetic; there b_1 = J_script sqrt(2/q) vanishes, stored as an exact
-    zero, and b_n^2 = 2 j_sq n(n-1)/2 for n >= 2 comes out of the monic
-    recurrence as exact Fractions (basis states are unnormalized monic
-    vectors).  Finite q runs float Lanczos with full reorthogonalization
-    from the bare fermion, so b_1 appears as the first coefficient and the
-    basis states are normalized.
+    arithmetic from the single arc: b_1 = J_script sqrt(2/q) vanishes, so
+    the bare fermion decouples and is prepended with exact zeros for a_0
+    and b_1^2, and b_n^2 = 2 j_sq n(n-1)/2 for n >= 2 come out as exact
+    Fractions (basis states are the unnormalized monic vectors).  Finite q
+    runs the same recurrence in floats from the bare fermion, so b_1
+    appears as the first coefficient, and the basis states are normalized.
     """
-    if q_mode is None:
-        return _lanczos_large_q_exact(n_max, j_sq, max_trees)
-    space = DiagramSpace(q=q_mode, j_sq=j_sq, exact=False, max_trees=max_trees)
+    exact = q_mode is None
+    space = DiagramSpace(q=q_mode, j_sq=j_sq, exact=exact, max_trees=max_trees)
+    if exact:
+        coeffs, basis = lanczos(hamiltonian_apply, space.root_state(),
+                                max(n_max, 1) - 1, last_diagonal=False)
+        coeffs = TridiagonalCoeffs(a=[Fraction(0)] + coeffs.a, b=[0.0] + coeffs.b,
+                                   b_sq=[Fraction(0)] + coeffs.b_sq)
+        return coeffs, [space.vacuum_state()] + basis
     coeffs, basis = lanczos(hamiltonian_apply, space.vacuum_state(), n_max,
-                            reorth=reorth, return_basis=True,
                             last_diagonal=False)
+    for k, v in enumerate(basis):
+        basis[k] = v * (1.0 / v.norm())
     return coeffs, basis
-
-
-def _lanczos_large_q_exact(n_max, j_sq, max_trees):
-    """Monic Lanczos in exact rational arithmetic, large-q engine.
-
-    Monic Krylov vectors need no square roots: beta_n = b_n^2 =
-    <u_n, u_n>/<u_(n-1), u_(n-1)>.  The a_n vanish by generation parity;
-    orthogonality of each new vector against its predecessor is asserted
-    exactly rather than assumed.
-    """
-    space = DiagramSpace(q=None, j_sq=j_sq, exact=True, max_trees=max_trees)
-    u = space.root_state()
-    u_prev = None
-    h = u.norm_sq()
-    b_sq = [Fraction(0)]  # b_1^2: the bare fermion decouples as q -> infinity
-    basis = [space.vacuum_state(), u]
-    for _ in range(1, n_max):
-        nxt = hamiltonian_apply(u)
-        if u_prev is not None:
-            nxt = nxt - b_sq[-1] * u_prev
-        if u.inner(nxt) != 0:
-            raise NumericalContractError("monic recurrence lost exact orthogonality")
-        h_next = nxt.norm_sq()
-        u_prev, u = u, nxt
-        b_sq.append(h_next / h)
-        h = h_next
-        basis.append(u)
-    a = [Fraction(0)] * (len(b_sq) + 1)
-    b = [math.sqrt(float(v)) for v in b_sq]
-    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq), basis
 
 
 def size_distribution(state: DiagramState, q=None, normalize=False):

@@ -13,7 +13,6 @@ parity lookup tables and a dense accumulator over the 2^N mask space.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -200,29 +199,6 @@ class OperatorVector:
         odd_part = OperatorVector(self.n, self._masks[odd], self._vals[odd],
                                   self.prune)
         return even_part, odd_part
-
-    # -- serialization ------------------------------------------------
-
-    def to_json_lines(self):
-        return "\n".join(
-            json.dumps({"mask": format(int(m), "x"), "amp": [v.real, v.imag]})
-            for m, v in zip(self._masks, self._vals))
-
-    @classmethod
-    def from_json_lines(cls, n, text, prune=DEFAULT_PRUNE):
-        masks, vals = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            masks.append(int(rec["mask"], 16))
-            vals.append(complex(rec["amp"][0], rec["amp"][1]))
-        return cls(n, masks, vals, prune)
-
-
-def inner_product(a: OperatorVector, b: OperatorVector) -> complex:
-    return a.inner(b)
 
 
 @dataclass(frozen=True, eq=False)

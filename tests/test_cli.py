@@ -56,6 +56,16 @@ def test_finite_n_arnoldi_outputs(tmp_path):
     assert (tmp_path / f"hessenberg_{tag}.csv").exists()
 
 
+def test_finite_n_fit_window_too_small(tmp_path):
+    # one Krylov step leaves a single diagonal entry in the fit window: the
+    # run still succeeds and the diagnostics manifest carries the reason
+    assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "8",
+                 "--mu", "0.02", "--nmax", "1"]) == 0
+    manifest, _, _ = read_csv(tmp_path / "diagnostics_N8_q4_mu0.02_seed1.csv")
+    assert "diagonal_fit" not in manifest
+    assert "fewer than 2 diagonal entries" in manifest["diagonal_fit_error"]
+
+
 def test_finite_n_multiseed_workers(tmp_path):
     assert main(["--out", str(tmp_path), "--workers", "2", "finite-n-arnoldi",
                  "--n", "6", "--mu", "0.0", "--seed", "1", "--seed", "2",

@@ -1,5 +1,7 @@
 """Arnoldi/Lanczos builders on dense matrices vs a textbook oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,7 +68,7 @@ def test_lanczos_matches_arnoldi_on_hermitian():
     mat = random_hermitian(14, 7)
     v0 = random_start(14, 7)
     hm, _ = arnoldi(lambda v: mat @ v, v0, 10)
-    c = lanczos(lambda v: mat @ v, v0, 10)
+    c, _ = lanczos(lambda v: mat @ v, v0, 10)
     assert np.allclose(np.real(hm.diagonal()), c.a_array().real, atol=1e-9)
     assert np.allclose(hm.subdiagonal(), c.b_array().real, atol=1e-9)
 
@@ -78,14 +80,41 @@ def test_lanczos_rejects_non_hermitian():
         lanczos(lambda v: mat @ v, random_start(8, 9), 6)
 
 
+def test_lanczos_stops_at_breakdown():
+    # start vector in a 2d invariant subspace; unnormalized, as the monic
+    # recurrence allows
+    mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    v0 = np.array([3.0, 3.0, 0.0, 0.0], dtype=complex)
+    c, basis = lanczos(lambda v: mat @ v, v0, 4)
+    assert len(basis) == len(c.a) == 2
+    assert np.allclose(c.a, [1.5, 1.5]) and np.allclose(c.b_sq, [0.25])
+
+
 def test_lanczos_last_diagonal_flag():
     mat = random_hermitian(10, 13)
     v0 = random_start(10, 13)
-    c_full = lanczos(lambda v: mat @ v, v0, 5)
-    c_skip = lanczos(lambda v: mat @ v, v0, 5, last_diagonal=False)
+    c_full, _ = lanczos(lambda v: mat @ v, v0, 5)
+    c_skip, _ = lanczos(lambda v: mat @ v, v0, 5, last_diagonal=False)
     assert c_skip.a[-1] == 0.0
     assert np.allclose(c_full.b, c_skip.b)
     assert np.allclose(c_full.a[:-1], c_skip.a[:-1])
+
+
+def test_lanczos_exact_over_fractions():
+    # the monic recurrence takes no square roots: a rational symmetric map
+    # and start vector give exact Fraction coefficients, which the float run
+    # reproduces; the start vector needs no normalization
+    mat = np.array([[Fraction(i + j, 1 + abs(i - j)) for j in range(5)]
+                    for i in range(5)], dtype=object)
+    v0 = np.array([Fraction(c) for c in (1, 0, 2, -1, 0)], dtype=object)
+    exact, basis = lanczos(lambda v: mat.dot(v), v0, 4)
+    assert all(isinstance(x, Fraction) for x in exact.a + exact.b_sq)
+    assert all(np.vdot(u, v) == 0 for i, u in enumerate(basis) for v in basis[:i])
+    approx, _ = lanczos(lambda v: mat.astype(float) @ v, 3.0 * v0.astype(float), 4)
+    assert np.allclose([float(x) for x in approx.a], [float(x) for x in exact.a],
+                       rtol=1e-12)
+    assert np.allclose([float(x) for x in approx.b_sq],
+                       [float(x) for x in exact.b_sq], rtol=1e-12)
 
 
 def test_tridiagonal_coeffs_shape_contract():
@@ -136,7 +165,7 @@ def test_diagonal_slope_fit_window_too_small():
 def test_lanczos_reproduces_eigenvalue_extremes(seed):
     # 3-step Lanczos Ritz values bracket within the true spectrum
     mat = random_hermitian(9, seed)
-    c = lanczos(lambda v: mat @ v, random_start(9, seed), 3)
+    c, _ = lanczos(lambda v: mat @ v, random_start(9, seed), 3)
     tri = np.diag([x.real for x in map(complex, c.a)]).astype(float)
     for i, bv in enumerate(c.b):
         tri[i, i + 1] = tri[i + 1, i] = bv

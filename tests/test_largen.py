@@ -99,47 +99,34 @@ def test_large_q_lanczos_exact_squares():
     assert all(x == 0 for x in coeffs.a)
 
 
+def exact_chain(q, n_max):
+    """Monic exact-rational Lanczos from the bare fermion at finite q."""
+    sp = DiagramSpace(q=q, exact=True)
+    return lanczos(hamiltonian_apply, sp.vacuum_state(), n_max, last_diagonal=False)
+
+
 def test_finite_q_first_coefficients_exact():
-    # monic recurrence in exact rationals; b_1^2 = 2 J^2/q and b_2^2 = 3/4
-    # follow from direct Wick counts of ||[H, psi_1]||^2 and the one-arc
-    # growth weight (q-1) * 2 J^2/q at q = 4, J = 1
-    sp = DiagramSpace(q=4, exact=True)
-    u = sp.vacuum_state()
-    u_prev, h, b_sq = None, u.norm_sq(), []
-    for _ in range(4):
-        nxt = hamiltonian_apply(u)
-        if u_prev is not None:
-            nxt = nxt - b_sq[-1] * u_prev
-        assert u.inner(nxt) == 0
-        h_next = nxt.norm_sq()
-        u_prev, u = u, nxt
-        b_sq.append(h_next / h)
-        h = h_next
-    assert b_sq == [Fraction(1, 4), Fraction(3, 4), Fraction(7, 4), Fraction(87, 28)]
+    # b_1^2 = 2 J^2/q and b_2^2 = 3/4 follow from direct Wick counts of
+    # ||[H, psi_1]||^2 and the one-arc growth weight (q-1) * 2 J^2/q at
+    # q = 4, J = 1; the driver asserts exact orthogonality at every step
+    coeffs, _ = exact_chain(4, 4)
+    assert coeffs.b_sq == [Fraction(1, 4), Fraction(3, 4), Fraction(7, 4),
+                           Fraction(87, 28)]
+    assert all(x == 0 for x in coeffs.a)
 
 
 def test_float_lanczos_agrees_with_exact_squares():
-    coeffs, _ = lanczos_large_n(4, 4)
-    expected = [Fraction(1, 4), Fraction(3, 4), Fraction(7, 4), Fraction(87, 28)]
-    for bv, ref in zip(coeffs.b, expected):
-        assert bv ** 2 == pytest.approx(float(ref), rel=1e-12)
+    exact, _ = exact_chain(4, 8)
+    coeffs, _ = lanczos_large_n(4, 8)
+    assert len(coeffs.b_sq) == len(exact.b_sq) == 8
+    for bv, ref in zip(coeffs.b_sq, exact.b_sq):
+        assert bv == pytest.approx(float(ref), rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [4, 6, 8])
 def test_concentration_breaks_down_at_five(q):
-    sp = DiagramSpace(q=q, exact=True)
-    u = sp.vacuum_state()
-    u_prev, h, b_sq = None, u.norm_sq(), []
-    gens = []
-    for _ in range(5):
-        nxt = hamiltonian_apply(u)
-        if u_prev is not None:
-            nxt = nxt - b_sq[-1] * u_prev
-        h_next = nxt.norm_sq()
-        u_prev, u = u, nxt
-        b_sq.append(h_next / h)
-        h = h_next
-        gens.append(u.generations())
+    _, basis = exact_chain(q, 5)
+    gens = [u.generations() for u in basis[1:]]
     assert gens[:4] == [[1], [2], [3], [4]]   # exact concentration
     assert gens[4] == [3, 5]                  # first contamination
 

@@ -142,12 +142,6 @@ def test_basis_string_range_check():
         OperatorVector.basis_string(4, 1 << 5)
 
 
-def test_json_roundtrip():
-    o = OperatorVector.from_terms(6, {0b101: 1.5 - 0.5j, 0b11010: -2.0})
-    back = OperatorVector.from_json_lines(6, o.to_json_lines())
-    assert back.terms == o.terms
-
-
 def test_syk_sampling_is_deterministic_and_scaled():
     h1 = sample_syk(10, 4, 1.0, seed=7)
     h2 = sample_syk(10, 4, 1.0, seed=7)
