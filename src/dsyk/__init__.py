@@ -2,8 +2,8 @@
 
 Three computational regimes, cross-validated:
 
-* exact finite-N Lindbladian algebra on Majorana strings plus Arnoldi
-  iteration (``majorana``, ``lindblad``, ``krylov``),
+* exact finite-N Lindbladian algebra on Jordan-Wigner matrices plus
+  Arnoldi iteration (``majorana``, ``lindblad``, ``krylov``),
 * large-N diagrammatic operator calculus on rooted trees with a Lanczos
   driver (``trees``, ``largen``),
 * moment-method and closed-form large-q analytics with Krylov-chain

@@ -17,10 +17,6 @@ class IncompatibleOperatorsError(ValidationError):
     """Operators live on different Majorana spaces (mismatched N)."""
 
 
-class ParityError(ValidationError):
-    """Operation requires a parity-homogeneous operator."""
-
-
 class NormalizationError(ValidationError):
     """Operation requires a unit-norm state."""
 

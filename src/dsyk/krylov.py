@@ -1,7 +1,7 @@
 """Arnoldi iteration and the monic Lanczos recurrence over abstract operator spaces.
 
 The routines only need the vector operations +, -, scalar *, and an inner
-product, so they run unchanged over numpy arrays, sparse Majorana-string
+product, so they run unchanged over numpy arrays, Jordan-Wigner Majorana
 operators, and large-N diagram states; Lanczos also over exact rational
 diagram states.  Full reorthogonalization is on by default in Arnoldi and
 always on in Lanczos: the structural diagnostics (the per-column deviation
@@ -168,9 +168,11 @@ def lanczos(apply, u0, n_max, last_diagonal=True, hermiticity_rtol=1e-8,
                 f"non-Hermitian map: a_{k} = {ak} has large imaginary part")
         a.append(ak.real)
         if k > 0:
+            # |back - h_k| <= rtol * scale * sqrt(h_k h_(k-1)), divided by h_k
+            # so that it still holds where the norms, which shrink
+            # geometrically at large q, underflow
             back = _dot(basis[k - 1], u)
-            tol = hermiticity_rtol * scale * math.sqrt(abs(h * norms[k - 1]))
-            if abs(back - h) > tol:
+            if abs(back / h - 1) > hermiticity_rtol * scale / math.sqrt(abs(b_sq[-1])):
                 raise NumericalContractError(
                     f"non-Hermitian map: back-coupling {back} != h_{k} = {h}")
             u = _axpy(u, -b_sq[-1], basis[k - 1])
@@ -185,7 +187,7 @@ def lanczos(apply, u0, n_max, last_diagonal=True, hermiticity_rtol=1e-8,
         if k == n_max:
             break
         h_next = _dot(u, u).real
-        if h_next <= (breakdown_rtol * scale) ** 2 * h:
+        if h_next / h <= (breakdown_rtol * scale) ** 2:
             break
         b_sq.append(h_next / h)
         basis.append(u)

@@ -1,9 +1,10 @@
 """Lindbladian superoperator for the dissipative SYK model.
 
-With jump operators L_i = sqrt(mu) psi_i the dissipator is diagonal on
-Majorana strings, scaling a size-s string by i*mu*s.  That closed form is
-the fast path; the literal jump-operator sum is retained as a slow oracle
-whose sign branch depends on the parity of the operator.
+With jump operators L_k = sqrt(mu) psi_k the dissipator is diagonal on
+Majorana strings, scaling a size-s string by i*mu*s.  On Jordan-Wigner
+matrices it is applied in closed form, one pass per qubit; the literal
+jump-operator sum, whose sign depends on the parity of the operator, is
+the test oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleOperatorsError, ParityError, ValidationError
-from .majorana import OperatorVector, SykHamiltonian, liouvillian_apply, string_multiply
+from .errors import IncompatibleOperatorsError, ValidationError
+from .majorana import OperatorVector, SykHamiltonian, liouvillian_apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,47 +40,35 @@ class DissipativeModel:
 
 
 def dissipator_apply(model: DissipativeModel, o: OperatorVector) -> OperatorVector:
-    """Diagonal dissipator: each size-s string is scaled by i*mu*s."""
-    if model.n != o.n:
-        raise IncompatibleOperatorsError(
-            f"model N={model.n} incompatible with operator N={o.n}")
-    scale = 1j * model.mu * o.sizes()
-    return OperatorVector(o.n, o._masks, o._vals * scale, o.prune)
+    """L_D O = (i mu / 2)(N O - P (sum_k gamma_k O gamma_k) P), P the fermion parity.
 
+    gamma_k gamma_S gamma_k is -gamma_S for k outside an odd string S and
+    +gamma_S inside it, the reverse for an even S, and P gamma_S P carries
+    the parity of S; so the bracket is 2 s gamma_S on every size-s string
+    and the dissipator scales it by i mu s, whatever the parity of O.
 
-def dissipator_oracle(model: DissipativeModel, o: OperatorVector) -> OperatorVector:
-    """Literal jump-operator dissipator, parity branch chosen explicitly.
-
-    L_D O = -i sum_k [ -+ L_k^dag O L_k - (1/2){L_k^dag L_k, O} ] with the
-    minus branch when O is fermionic (odd strings).  L_k = sqrt(mu/2) gamma_k,
-    so L_k^dag O L_k = (mu/2) gamma_k O gamma_k and the anticommutator part
-    contributes mu*N/2 per term.
+    The two gammas on qubit j (Z..Z X and Z..Z Y) flip its bit on both
+    sides; their Z strings cancel against P except on the qubits after j,
+    and the X and Y terms cancel unless x and y agree on qubit j:
+    P (gamma_2j O gamma_2j + gamma_2j+1 O gamma_2j+1) P [x, y]
+    = 2 [x_j = y_j] p_j(x) p_j(y) O[x ^ bit_j, y ^ bit_j], with p_j(x) the
+    parity of the qubits after j.
     """
     if model.n != o.n:
         raise IncompatibleOperatorsError(
             f"model N={model.n} incompatible with operator N={o.n}")
-    sizes = o.sizes()
-    if sizes.size == 0:
-        return OperatorVector.zero(o.n, o.prune)
-    parities = set(int(s) & 1 for s in sizes)
-    if len(parities) > 1:
-        raise ParityError("dissipator sign rule needs a parity-homogeneous operator; "
-                          "split even/odd parts first")
-    fermionic = parities.pop() == 1
-    branch = -1.0 if fermionic else 1.0
-    n = o.n
-    mu = model.mu
-    acc = {}
-    for mask, val in zip(o._masks, o._vals):
-        mask = int(mask)
-        for k in range(n):
-            gk = 1 << k
-            p1, m1 = string_multiply(gk, mask)
-            p2, m2 = string_multiply(m1, gk)
-            amp = -1j * branch * (mu / 2.0) * p1 * p2 * val
-            acc[m2] = acc.get(m2, 0.0) + amp
-        acc[mask] = acc.get(mask, 0.0) + 1j * (mu * n / 2.0) * val
-    return OperatorVector.from_terms(o.n, acc, o.prune)
+    m = o.matrix
+    out = o.n * m
+    p = np.ones(1)   # p_j over the states of the qubits after j
+    for j in reversed(range(o.n // 2)):
+        shape = (1 << j, 2, p.size) * 2   # (qubits before j, qubit j, after j) per side
+        m6, out6 = m.reshape(shape), out.reshape(shape)
+        sign = 2.0 * np.outer(p, p)[:, None, :]
+        out6[:, 0, :, :, 0, :] -= sign * m6[:, 1, :, :, 1, :]
+        out6[:, 1, :, :, 1, :] -= sign * m6[:, 0, :, :, 0, :]
+        p = np.concatenate([p, -p])
+    out *= 0.5j * model.mu
+    return OperatorVector(o.n, out)
 
 
 def lindbladian_apply(model: DissipativeModel, o: OperatorVector) -> OperatorVector:

@@ -1,142 +1,121 @@
-"""Exact operator algebra on Majorana strings at finite N.
+"""Finite-N Majorana operators as Jordan-Wigner matrices.
 
-Strings are bitmasks: bit i set means the normalized Majorana gamma_i
-(gamma = sqrt(2) psi, so gamma^2 = 1) appears in the ascending-ordered
-product.  Under (A|B) = Tr[A^dag B]/Tr[1] these strings are orthonormal,
-so operators are sparse complex vectors over bitmasks and all sign
-bookkeeping is integer arithmetic.
+N Majoranas (gamma = sqrt(2) psi, so gamma^2 = 1) act on D = 2^(N/2)
+states.  gamma_(2k) = Z..Z X and gamma_(2k+1) = Z..Z Y act on qubit k, the
+k-th Kronecker factor (bit N/2 - 1 - k of a state index).  Each gamma_k,
+and so each ascending product gamma_S of them (a Majorana string), is a
+signed permutation, gamma_S |x> = phase_S(x) |x ^ flip_S>, which is how
+operators are built here: without dense Kronecker products.
 
-The commutator with a q-body SYK Hamiltonian is the hot path: it runs
-per Hamiltonian term on the whole support at once, using precomputed
-parity lookup tables and a dense accumulator over the 2^N mask space.
+Operators are D x D matrices under the normalized trace inner product
+(A|B) = Tr[A^dag B]/D, under which the 2^N strings are orthonormal, so
+norms and overlaps equal those of the string amplitudes.  The commutator
+with the SYK Hamiltonian, the hot path of the finite-N Arnoldi, is two
+matrix products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import IncompatibleOperatorsError, ValidationError
 
-DEFAULT_PRUNE = 1e-14
-
-_PARITY_TABLES = {}
-
-
-def _parity_table(n):
-    """uint8 table of popcount parity for all masks below 2^n."""
-    t = _PARITY_TABLES.get(n)
-    if t is None:
-        x = np.arange(1 << n, dtype=np.int64)
-        for shift in (32, 16, 8, 4, 2, 1):
-            x ^= x >> shift
-        t = (x & 1).astype(np.uint8)
-        _PARITY_TABLES[n] = t
-    return t
+# (strings x states) entries per vectorized block when summing strings, so
+# that building H holds no temporary much larger than one operator
+_BLOCK_ENTRIES = 1 << 14
 
 
-def popcount_array(masks):
-    """Vectorized popcount of an int64 mask array."""
-    x = masks.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + \
-        ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+def _dimension(n):
+    """D = 2^(N/2), the number of states N Majoranas act on."""
+    if n <= 0 or n % 2:
+        raise ValidationError(f"N={n} Majoranas need an even positive N")
+    return 1 << (n // 2)
 
 
-def string_multiply(a: int, b: int):
-    """Product gamma_A gamma_B = phase * gamma_(A xor B), phase = +-1.
-
-    The phase is the parity of transpositions needed to sort the
-    concatenated index sequence and cancel repeated indices: each index j
-    of B commutes past the members of A above j.
-    """
-    count = 0
-    bb = b
-    while bb:
-        j = (bb & -bb).bit_length() - 1
-        count += (a >> (j + 1)).bit_count()
-        bb &= bb - 1
-    return (-1 if count & 1 else 1), a ^ b
-
-
-def string_dagger_phase(mask: int) -> int:
-    """Phase of gamma_S^dag relative to gamma_S: (-1)^(s(s-1)/2)."""
-    s = mask.bit_count()
-    return -1 if (s * (s - 1) // 2) & 1 else 1
+def _gamma_tables(n):
+    """(flips, phases) with gamma_k |x> = phases[k, x] |x ^ flips[k]>."""
+    d = _dimension(n)
+    x = np.arange(d)
+    flips = np.empty(n, dtype=np.int64)
+    phases = np.empty((n, d), dtype=complex)
+    z = np.ones(d)   # the Z string: (-1)^(occupation of the qubits before k)
+    for k in range(n // 2):
+        bit = n // 2 - 1 - k
+        sign = 1 - 2 * ((x >> bit) & 1)
+        flips[2 * k] = flips[2 * k + 1] = 1 << bit
+        phases[2 * k] = z                      # X
+        phases[2 * k + 1] = 1j * z * sign      # Y|0> = i|1>, Y|1> = -i|0>
+        z = z * sign
+    return flips, phases
 
 
-def commute_phase(i_mask: int, m_mask: int):
-    """[gamma_I, gamma_m] = phase * 2 * gamma_(I xor m), or None if they commute.
-
-    Valid for even |I| (Hamiltonian strings): the pair anticommutes iff the
-    overlap has odd popcount.
-    """
-    if (i_mask & m_mask).bit_count() % 2 == 0:
-        return None
-    phase, _ = string_multiply(i_mask, m_mask)
-    return phase
+def _sum_of_strings(n, strings, amps):
+    """D x D matrix of sum_t amps[t] gamma_(strings[t]), strings as ascending index tuples."""
+    flips, phases = _gamma_tables(n)
+    d = phases.shape[1]
+    x = np.arange(d)
+    amps = np.asarray(amps, dtype=complex)
+    by_length = {}
+    for t, s in enumerate(strings):
+        by_length.setdefault(len(s), []).append(t)
+    re = np.zeros(d * d)
+    im = np.zeros(d * d)
+    block = max(1, _BLOCK_ENTRIES // d)
+    for length, ts in by_length.items():
+        for start in range(0, len(ts), block):
+            sel = ts[start:start + block]
+            idx = np.array([strings[t] for t in sel], dtype=np.int64).reshape(len(sel), length)
+            rows = np.broadcast_to(x, (len(sel), d))
+            vals = np.broadcast_to(amps[sel, None], (len(sel), d))
+            for k in idx.T[::-1]:   # the rightmost factor acts first
+                vals = vals * phases[k[:, None], rows]
+                rows = rows ^ flips[k][:, None]
+            flat = (rows * d + x).ravel()
+            re += np.bincount(flat, vals.real.ravel(), d * d)
+            im += np.bincount(flat, vals.imag.ravel(), d * d)
+    return (re + 1j * im).reshape(d, d)
 
 
 class OperatorVector:
-    """Sparse operator: complex amplitudes over Majorana-string bitmasks.
+    """Operator on N Majoranas, held as its D x D Jordan-Wigner matrix."""
 
-    Internally a sorted int64 mask array plus a complex amplitude array;
-    amplitudes below the prune threshold are dropped on construction.
-    """
+    __slots__ = ("n", "matrix")
 
-    __slots__ = ("n", "_masks", "_vals", "prune")
-
-    def __init__(self, n, masks, vals, prune=DEFAULT_PRUNE):
+    def __init__(self, n, matrix):
         self.n = int(n)
-        self.prune = prune
-        masks = np.asarray(masks, dtype=np.int64)
-        vals = np.asarray(vals, dtype=complex)
-        if masks.size:
-            keep = np.abs(vals) > prune
-            masks, vals = masks[keep], vals[keep]
-            order = np.argsort(masks)
-            masks, vals = masks[order], vals[order]
-        self._masks = masks
-        self._vals = vals
+        self.matrix = matrix
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, n, prune=DEFAULT_PRUNE):
-        return cls(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), prune)
+    def zero(cls, n):
+        d = _dimension(n)
+        return cls(n, np.zeros((d, d), dtype=complex))
 
     @classmethod
-    def basis_string(cls, n, mask, amplitude=1.0, prune=DEFAULT_PRUNE):
-        if mask >> n:
-            raise ValidationError(f"mask {mask:#x} does not fit in N={n} Majoranas")
-        return cls(n, [mask], [amplitude], prune)
+    def basis_string(cls, n, mask, amplitude=1.0):
+        return cls.from_terms(n, {mask: amplitude})
 
     @classmethod
-    def from_terms(cls, n, terms, prune=DEFAULT_PRUNE):
-        if not terms:
-            return cls.zero(n, prune)
-        masks = list(terms.keys())
-        vals = [terms[m] for m in masks]
-        return cls(n, masks, vals, prune)
+    def from_terms(cls, n, terms):
+        """sum of amplitude * gamma_mask over {mask: amplitude}; bit i of mask selects gamma_i."""
+        for mask in terms:
+            if mask < 0 or mask >> n:
+                raise ValidationError(f"mask {mask:#x} does not fit in N={n} Majoranas")
+        strings = [tuple(i for i in range(n) if mask >> i & 1) for mask in terms]
+        return cls(n, _sum_of_strings(n, strings, list(terms.values())))
 
     # -- views --------------------------------------------------------
 
     @property
-    def terms(self):
-        return {int(m): complex(v) for m, v in zip(self._masks, self._vals)}
-
-    @property
     def n_terms(self):
-        return self._masks.size
-
-    def sizes(self):
-        """Popcounts (operator sizes) of the support strings."""
-        return popcount_array(self._masks)
+        """Nonzero matrix entries: at most 2^(N-1) for an operator of one fermion parity."""
+        return int(np.count_nonzero(self.matrix))
 
     # -- algebra ------------------------------------------------------
 
@@ -149,35 +128,24 @@ class OperatorVector:
 
     def __add__(self, other):
         self._check_compatible(other)
-        masks = np.concatenate([self._masks, other._masks])
-        vals = np.concatenate([self._vals, other._vals])
-        if masks.size:
-            u, inv = np.unique(masks, return_inverse=True)
-            acc = np.zeros(u.size, dtype=complex)
-            np.add.at(acc, inv, vals)
-            masks, vals = u, acc
-        return OperatorVector(self.n, masks, vals, min(self.prune, other.prune))
+        return OperatorVector(self.n, self.matrix + other.matrix)
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        self._check_compatible(other)
+        return OperatorVector(self.n, self.matrix - other.matrix)
 
     def __mul__(self, scalar):
-        return OperatorVector(self.n, self._masks, self._vals * scalar, self.prune)
+        return OperatorVector(self.n, self.matrix * scalar)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return (-1.0) * self
-
     def inner(self, other):
-        """(self|other) = sum over common strings of conj(a) * b."""
+        """(self|other) = Tr[self^dag other]/D."""
         self._check_compatible(other)
-        _, i1, i2 = np.intersect1d(self._masks, other._masks,
-                                   assume_unique=True, return_indices=True)
-        return complex(np.sum(np.conj(self._vals[i1]) * other._vals[i2]))
+        return complex(np.vdot(self.matrix, other.matrix)) / self.matrix.shape[0]
 
     def norm(self):
-        return float(np.linalg.norm(self._vals))
+        return float(np.linalg.norm(self.matrix)) / math.sqrt(self.matrix.shape[0])
 
     def normalized(self):
         nrm = self.norm()
@@ -186,19 +154,7 @@ class OperatorVector:
         return self * (1.0 / nrm)
 
     def dagger(self):
-        phases = np.array([string_dagger_phase(int(m)) for m in self._masks],
-                          dtype=float)
-        return OperatorVector(self.n, self._masks,
-                              phases * np.conj(self._vals), self.prune)
-
-    def parity_split(self):
-        """(even-size part, odd-size part)."""
-        odd = (self.sizes() & 1).astype(bool)
-        even_part = OperatorVector(self.n, self._masks[~odd], self._vals[~odd],
-                                   self.prune)
-        odd_part = OperatorVector(self.n, self._masks[odd], self._vals[odd],
-                                  self.prune)
-        return even_part, odd_part
+        return OperatorVector(self.n, self.matrix.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,43 +171,17 @@ class SykHamiltonian:
     seed: int
     couplings: dict = field(repr=False)
 
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
     @property
     def j_script_sq(self) -> float:
         """Rescaled coupling 2^(1-q) q J^2."""
         return 2.0 ** (1 - self.q) * self.q * self.j ** 2
 
-    def _term_arrays(self):
-        """Per-term (string mask, sign-table mask, gamma-basis amplitude).
-
-        The sign-table mask D has bit j set when gamma_I picks up a minus
-        sign commuting past gamma_j, so the product phase against any string
-        m is (-1)^popcount(m & D).
-        """
-        cached = self._cache.get("terms")
-        if cached is None:
-            prefactor = (1j) ** (self.q // 2) * 2.0 ** (-self.q / 2)
-            cached = []
-            for idx, val in self.couplings.items():
-                i_mask = 0
-                for i in idx:
-                    i_mask |= 1 << i
-                d_mask = 0
-                for jbit in range(self.n):
-                    if ((i_mask >> (jbit + 1)).bit_count()) & 1:
-                        d_mask |= 1 << jbit
-                cached.append((i_mask, d_mask, prefactor * val))
-            self._cache["terms"] = cached
-        return cached
-
-    def to_operator(self, prune=DEFAULT_PRUNE) -> OperatorVector:
-        masks = []
-        vals = []
-        for i_mask, _, amp in self._term_arrays():
-            masks.append(i_mask)
-            vals.append(amp)
-        return OperatorVector(self.n, masks, vals, prune)
+    @cached_property
+    def matrix(self):
+        """D x D matrix of H, built on first use and kept."""
+        prefactor = (1j) ** (self.q // 2) * 2.0 ** (-self.q / 2)   # psi = gamma/sqrt(2)
+        amps = prefactor * np.fromiter(self.couplings.values(), float, len(self.couplings))
+        return _sum_of_strings(self.n, list(self.couplings), amps)
 
 
 def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
@@ -268,30 +198,10 @@ def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
                           couplings=dict(zip(subsets, samples)))
 
 
-def liouvillian_apply(h: SykHamiltonian, o: OperatorVector,
-                      prune=None) -> OperatorVector:
-    """[H, O] expanded on the string basis.
-
-    Each Hamiltonian string gamma_I anticommutes with exactly the support
-    strings of odd overlap, where [gamma_I, gamma_m] = 2 gamma_I gamma_m;
-    everything else cancels identically.
-    """
+def liouvillian_apply(h: SykHamiltonian, o: OperatorVector) -> OperatorVector:
+    """[H, O] = H O - O H."""
     if h.n != o.n:
         raise IncompatibleOperatorsError(
             f"Hamiltonian N={h.n} incompatible with operator N={o.n}")
-    if prune is None:
-        prune = o.prune
-    masks, vals = o._masks, o._vals
-    if masks.size == 0:
-        return OperatorVector.zero(o.n, prune)
-    par = _parity_table(o.n)
-    acc = np.zeros(1 << o.n, dtype=complex)
-    for i_mask, d_mask, amp in h._term_arrays():
-        sel = par[masks & i_mask].astype(bool)
-        if not sel.any():
-            continue
-        msel = masks[sel]
-        sign = 1.0 - 2.0 * par[msel & d_mask]
-        acc[msel ^ i_mask] += (2.0 * amp) * (sign * vals[sel])
-    support = np.nonzero(acc)[0]
-    return OperatorVector(o.n, support, acc[support], prune)
+    hm = h.matrix
+    return OperatorVector(o.n, hm @ o.matrix - o.matrix @ hm)

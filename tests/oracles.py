@@ -152,3 +152,200 @@ def direct_k_and_variance(phi):
     k = (ns * w).sum() / z
     var = ((ns - k) ** 2 * w).sum() / z
     return k, var
+
+
+# ---------------------------------------------------------------------------
+# Majorana strings: the sparse string-basis backend, the reference the
+# Jordan-Wigner matrix backend is tested against.  A string is a bitmask:
+# bit i set means gamma_i appears in the ascending-ordered product.  Under
+# (A|B) = Tr[A^dag B]/Tr[1] strings are orthonormal, so an operator is a
+# sparse complex vector over bitmasks and all sign bookkeeping is integer
+# arithmetic.
+
+
+class ParityError(ValueError):
+    """The literal dissipator needs an operator of one fermion parity."""
+
+
+def popcount_array(masks):
+    """Vectorized popcount of an int64 mask array."""
+    x = masks.astype(np.uint64)
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + \
+        ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+def string_multiply(a, b):
+    """Product gamma_A gamma_B = phase * gamma_(A xor B), phase = +-1.
+
+    The phase is the parity of transpositions needed to sort the
+    concatenated index sequence and cancel repeated indices: each index j
+    of B commutes past the members of A above j.
+    """
+    count = 0
+    bb = b
+    while bb:
+        j = (bb & -bb).bit_length() - 1
+        count += (a >> (j + 1)).bit_count()
+        bb &= bb - 1
+    return (-1 if count & 1 else 1), a ^ b
+
+
+def string_dagger_phase(mask):
+    """Phase of gamma_S^dag relative to gamma_S: (-1)^(s(s-1)/2)."""
+    s = mask.bit_count()
+    return -1 if (s * (s - 1) // 2) & 1 else 1
+
+
+def commute_phase(i_mask, m_mask):
+    """[gamma_I, gamma_m] = phase * 2 * gamma_(I xor m), or None if they commute.
+
+    Valid for even |I| (Hamiltonian strings): the pair anticommutes iff the
+    overlap has odd popcount.
+    """
+    if (i_mask & m_mask).bit_count() % 2 == 0:
+        return None
+    phase, _ = string_multiply(i_mask, m_mask)
+    return phase
+
+
+class StringOperator:
+    """Sparse operator: complex amplitudes over Majorana-string bitmasks.
+
+    A sorted int64 mask array plus a complex amplitude array; amplitudes
+    below the prune threshold are dropped on construction.
+    """
+
+    def __init__(self, n, masks, vals, prune=1e-14):
+        self.n = n
+        self.prune = prune
+        masks = np.asarray(masks, dtype=np.int64)
+        vals = np.asarray(vals, dtype=complex)
+        if masks.size:
+            keep = np.abs(vals) > prune
+            masks, vals = masks[keep], vals[keep]
+            order = np.argsort(masks)
+            masks, vals = masks[order], vals[order]
+        self.masks = masks
+        self.vals = vals
+
+    @classmethod
+    def from_terms(cls, n, terms):
+        return cls(n, list(terms), list(terms.values()))
+
+    @classmethod
+    def basis_string(cls, n, mask, amplitude=1.0):
+        return cls(n, [mask], [amplitude])
+
+    @property
+    def terms(self):
+        return {int(m): complex(v) for m, v in zip(self.masks, self.vals)}
+
+    def sizes(self):
+        """Popcounts (operator sizes) of the support strings."""
+        return popcount_array(self.masks)
+
+    def __add__(self, other):
+        masks = np.concatenate([self.masks, other.masks])
+        vals = np.concatenate([self.vals, other.vals])
+        if masks.size:
+            u, inv = np.unique(masks, return_inverse=True)
+            acc = np.zeros(u.size, dtype=complex)
+            np.add.at(acc, inv, vals)
+            masks, vals = u, acc
+        return StringOperator(self.n, masks, vals, min(self.prune, other.prune))
+
+    def __mul__(self, scalar):
+        return StringOperator(self.n, self.masks, self.vals * scalar, self.prune)
+
+    __rmul__ = __mul__
+
+    def inner(self, other):
+        """(self|other) = sum over common strings of conj(a) * b."""
+        _, i1, i2 = np.intersect1d(self.masks, other.masks,
+                                   assume_unique=True, return_indices=True)
+        return complex(np.sum(np.conj(self.vals[i1]) * other.vals[i2]))
+
+    def dagger(self):
+        phases = np.array([string_dagger_phase(int(m)) for m in self.masks], dtype=float)
+        return StringOperator(self.n, self.masks, phases * np.conj(self.vals), self.prune)
+
+    def parity_split(self):
+        """(even-size part, odd-size part)."""
+        odd = (self.sizes() & 1).astype(bool)
+        return (StringOperator(self.n, self.masks[~odd], self.vals[~odd], self.prune),
+                StringOperator(self.n, self.masks[odd], self.vals[odd], self.prune))
+
+
+def string_hamiltonian(h):
+    """H = i^(q/2) 2^(-q/2) sum_I J_I gamma_I as a StringOperator, from h.couplings."""
+    prefactor = (1j) ** (h.q // 2) * 2.0 ** (-h.q / 2)
+    return StringOperator.from_terms(
+        h.n, {sum(1 << i for i in idx): prefactor * val for idx, val in h.couplings.items()})
+
+
+def string_liouvillian_apply(h, o):
+    """[H, O] on the string basis, one Hamiltonian string at a time.
+
+    gamma_I (|I| even) anticommutes with exactly the strings m of odd
+    overlap, where [gamma_I, gamma_m] = 2 gamma_I gamma_m; everything else
+    cancels.  The product's sign against m is (-1)^popcount(m & D), where
+    bit j of D is set when gamma_I picks up a minus sign passing gamma_j.
+    """
+    x = np.arange(1 << o.n, dtype=np.int64)
+    parity = (popcount_array(x) & 1).astype(np.uint8)
+    acc = np.zeros(1 << o.n, dtype=complex)
+    for i_mask, amp in string_hamiltonian(h).terms.items():
+        d_mask = sum(1 << j for j in range(o.n) if (i_mask >> (j + 1)).bit_count() & 1)
+        sel = parity[o.masks & i_mask].astype(bool)
+        msel = o.masks[sel]
+        sign = 1.0 - 2.0 * parity[msel & d_mask]
+        acc[msel ^ i_mask] += (2.0 * amp) * (sign * o.vals[sel])
+    support = np.nonzero(acc)[0]
+    return StringOperator(o.n, support, acc[support], o.prune)
+
+
+def string_lindbladian_apply(model, o):
+    """[H, O] plus the diagonal dissipator i mu s on each size-s string."""
+    diss = StringOperator(o.n, o.masks, o.vals * (1j * model.mu * o.sizes()), o.prune)
+    return string_liouvillian_apply(model.hamiltonian, o) + diss
+
+
+def dissipator_oracle(model, o):
+    """Literal jump-operator dissipator, parity branch chosen explicitly.
+
+    L_D O = -i sum_k [ -+ L_k^dag O L_k - (1/2){L_k^dag L_k, O} ] with the
+    minus branch when O is fermionic (odd strings).  L_k = sqrt(mu/2) gamma_k,
+    so L_k^dag O L_k = (mu/2) gamma_k O gamma_k and the anticommutator part
+    contributes mu*N/2 per term.
+    """
+    sizes = o.sizes()
+    if sizes.size == 0:
+        return StringOperator(o.n, [], [], o.prune)
+    parities = set(int(s) & 1 for s in sizes)
+    if len(parities) > 1:
+        raise ParityError("dissipator sign rule needs a parity-homogeneous operator; "
+                          "split even/odd parts first")
+    branch = -1.0 if parities.pop() == 1 else 1.0
+    n, mu = o.n, model.mu
+    acc = {}
+    for mask, val in zip(o.masks, o.vals):
+        mask = int(mask)
+        for k in range(n):
+            p1, m1 = string_multiply(1 << k, mask)
+            p2, m2 = string_multiply(m1, 1 << k)
+            acc[m2] = acc.get(m2, 0.0) - 1j * branch * (mu / 2.0) * p1 * p2 * val
+        acc[mask] = acc.get(mask, 0.0) + 1j * (mu * n / 2.0) * val
+    return StringOperator.from_terms(o.n, acc)
+
+
+def string_terms(gammas, matrix, tol=1e-12):
+    """{mask: amplitude} of a matrix on the strings, by trace overlaps with dense strings."""
+    out = {}
+    for mask in range(1 << len(gammas)):
+        c = dense_inner(dense_string(gammas, mask), matrix)
+        if abs(c) > tol:
+            out[mask] = c
+    return out

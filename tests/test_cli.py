@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dsyk.cli import main
+from dsyk.cli import finite_n_bytes, main
 
 
 def read_csv(path):
@@ -75,7 +75,39 @@ def test_finite_n_multiseed_workers(tmp_path):
 
 
 def test_finite_n_cap_exit_code(tmp_path):
-    assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "24"]) == 3
+    # 46 operators of 2^32 complex entries: about 3 TB, beyond any desk machine
+    assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "32"]) == 3
+    assert not list(tmp_path.iterdir())
+
+
+def test_finite_n_memory_estimate():
+    # n_max + 1 basis matrices, H and temporaries, each 2^N complex entries
+    assert finite_n_bytes(14, 12) == 18 * 16 * 2 ** 14
+    assert finite_n_bytes(24, 40) == 46 * 16 * 2 ** 24   # about 12.3 GB
+    assert finite_n_bytes(32, 40) > 2 ** 40
+
+
+def test_finite_n_diagonal_fit_window(tmp_path):
+    # the manifest's chi comes from [1, 2], where the i mu (2n + 1) law holds at
+    # N = 14; the [1, N/q] fit that reaches the saturation bend is kept apart
+    assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "14",
+                 "--mu", "0.02", "--seed", "1", "--nmax", "4"]) == 0
+    manifest, _, _ = read_csv(tmp_path / "diagnostics_N14_q4_mu0.02_seed1.csv")
+    fit, wide = manifest["diagonal_fit"], manifest["diagonal_fit_n_over_q"]
+    assert fit["window"] == [1, 2] and wide["window"] == [1, 3]
+    assert abs(fit["slope"] / (2 * 0.02) - 1.0) < 0.10
+    assert wide["slope"] < fit["slope"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite-n-arnoldi", "--n", "8", "--nmax", "0"],
+    ["large-n", "--q-inf", "--nmax", "0"],
+    ["large-n", "--q", "4", "--nmax", "-1"],
+    ["large-n", "--q", "4", "--nmax", "4", "--max-trees", "0"],
+])
+def test_counts_below_one_exit_code(tmp_path, argv):
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_validation_exit_code(tmp_path):

@@ -175,3 +175,15 @@ def test_lanczos_large_n_hermitian_path():
         for j, v in enumerate(basis):
             ip = complex(u.inner(v))
             assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
+
+
+def test_float_lanczos_survives_tiny_norms_at_large_q():
+    # J = 1 gives J_script^2 = q / 2^(q-1), so at q = 64 the monic norms h_n
+    # fall below 1e-176 by n = 11; b_n^2 is linear in J_script^2 and must
+    # not depend on that scale
+    coeffs, _ = lanczos_large_n(64, 13)
+    ref, _ = lanczos_large_n(64, 13, j_sq=0.5)
+    ratio = float(Fraction(64, 2 ** 63)) / 0.5
+    assert len(coeffs.b_sq) == len(ref.b_sq) == 13
+    for bv, rv in zip(coeffs.b_sq, ref.b_sq):
+        assert bv == pytest.approx(rv * ratio, rel=1e-12)

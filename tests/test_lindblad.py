@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsyk.errors import ParityError, ValidationError
-from dsyk.lindblad import (
-    DissipativeModel,
-    dissipator_apply,
-    dissipator_oracle,
-    lindbladian_apply,
-)
-from dsyk.majorana import OperatorVector, sample_syk
+from dsyk.errors import ValidationError
+from dsyk.lindblad import DissipativeModel, dissipator_apply, lindbladian_apply
+from dsyk.majorana import OperatorVector, liouvillian_apply, sample_syk
 from oracles import (
+    ParityError,
+    StringOperator,
     dense_dissipator,
     dense_dissipator_bosonic,
     dense_gammas,
     dense_operator,
+    dissipator_oracle,
+    string_hamiltonian,
 )
 
 N_DENSE = 6
@@ -40,27 +39,27 @@ def test_mu_tilde():
 @settings(max_examples=100, deadline=None)
 def test_dissipator_scales_strings_by_imus(mask):
     m = model()
-    o = OperatorVector.basis_string(N_DENSE, mask)
-    res = dissipator_apply(m, o)
+    res = dissipator_apply(m, OperatorVector.basis_string(N_DENSE, mask))
     s = bin(mask).count("1")
-    assert res.terms == {mask: 1j * m.mu * s}
+    expected = OperatorVector.basis_string(N_DENSE, mask, 1j * m.mu * s)
+    assert np.array_equal(res.matrix, expected.matrix)
 
 
 @given(st.integers(min_value=0, max_value=(1 << N_DENSE) - 1))
 @settings(max_examples=100, deadline=None)
 def test_oracle_matches_closed_form_per_string(mask):
     m = model()
-    o = OperatorVector.basis_string(N_DENSE, mask)
-    diff = dissipator_apply(m, o) - dissipator_oracle(m, o)
-    assert diff.norm() < 1e-12
+    fast = dissipator_apply(m, OperatorVector.basis_string(N_DENSE, mask))
+    oracle = dissipator_oracle(m, StringOperator.basis_string(N_DENSE, mask))
+    assert (fast - OperatorVector.from_terms(N_DENSE, oracle.terms)).norm() < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=(1 << N_DENSE) - 1))
 @settings(max_examples=60, deadline=None)
 def test_oracle_matches_dense_lindblad_dissipator(mask):
     m = model()
-    o = OperatorVector.basis_string(N_DENSE, mask)
-    od = dense_string_matrix(mask)
+    o = StringOperator.basis_string(N_DENSE, mask)
+    od = dense_operator(GAMMAS, {mask: 1.0})
     fermionic = bin(mask).count("1") % 2 == 1
     dense = (dense_dissipator if fermionic else dense_dissipator_bosonic)(
         GAMMAS, m.mu, od)
@@ -68,38 +67,38 @@ def test_oracle_matches_dense_lindblad_dissipator(mask):
     assert np.allclose(res, dense, atol=1e-12)
 
 
-def dense_string_matrix(mask):
-    return dense_operator(GAMMAS, {mask: 1.0})
-
-
 def test_mixed_parity_rejected_by_oracle():
     m = model()
-    o = OperatorVector.from_terms(N_DENSE, {0b1: 1.0, 0b11: 1.0})
+    terms = {0b1: 1.0, 0b11: 1.0}
     with pytest.raises(ParityError):
-        dissipator_oracle(m, o)
+        dissipator_oracle(m, StringOperator.from_terms(N_DENSE, terms))
     # the closed form is parity-blind and still fine
-    res = dissipator_apply(m, o)
-    assert res.terms == {0b1: 1j * m.mu, 0b11: 2j * m.mu}
+    res = dissipator_apply(m, OperatorVector.from_terms(N_DENSE, terms))
+    expected = OperatorVector.from_terms(N_DENSE, {0b1: 1j * m.mu, 0b11: 2j * m.mu})
+    assert (res - expected).norm() < 1e-14
 
 
 def test_lindbladian_is_commutator_plus_dissipator():
     m = model(mu=0.1)
     rng = np.random.default_rng(2)
-    o = OperatorVector.from_terms(
-        N_DENSE, {int(msk): complex(*rng.normal(size=2))
-                  for msk in rng.integers(0, 1 << N_DENSE, size=6)})
+    terms = {int(msk): complex(*rng.normal(size=2))
+             for msk in rng.integers(0, 1 << N_DENSE, size=6)}
+    o = OperatorVector.from_terms(N_DENSE, terms)
     full = lindbladian_apply(m, o)
-    hd = dense_operator(GAMMAS, m.hamiltonian.to_operator().terms)
-    od = dense_operator(GAMMAS, o.terms)
+    hd = dense_operator(GAMMAS, string_hamiltonian(m.hamiltonian).terms)
+    od = dense_operator(GAMMAS, terms)
     commutator = hd @ od - od @ hd
-    diss = dense_operator(GAMMAS, dissipator_apply(m, o).terms)
-    assert np.allclose(dense_operator(GAMMAS, full.terms), commutator + diss,
-                       atol=1e-11)
+    # the dissipator of each parity part follows its own sign branch
+    even = dense_operator(GAMMAS, {k: v for k, v in terms.items()
+                                   if bin(k).count("1") % 2 == 0})
+    odd = od - even
+    diss = (dense_dissipator_bosonic(GAMMAS, m.mu, even)
+            + dense_dissipator(GAMMAS, m.mu, odd))
+    assert np.allclose(full.matrix, commutator + diss, atol=1e-11)
 
 
 def test_mu_zero_reduces_to_commutator():
     m = model(mu=0.0)
     o = OperatorVector.basis_string(N_DENSE, 0b10101)
-    from dsyk.majorana import liouvillian_apply
     diff = lindbladian_apply(m, o) - liouvillian_apply(m.hamiltonian, o)
     assert diff.norm() == 0.0

@@ -1,27 +1,42 @@
-"""Majorana string algebra against a dense Jordan-Wigner oracle."""
+"""Jordan-Wigner matrix operators against dense and string-basis oracles.
+
+The string algebra in oracles.py is itself checked against the dense
+Kronecker-product gammas first, then serves as the reference for the
+matrix backend.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsyk.errors import IncompatibleOperatorsError, ValidationError
-from dsyk.majorana import (
-    OperatorVector,
-    SykHamiltonian,
+from dsyk.krylov import arnoldi
+from dsyk.lindblad import DissipativeModel, lindbladian_apply
+from dsyk.majorana import OperatorVector, liouvillian_apply, sample_syk
+from oracles import (
+    StringOperator,
     commute_phase,
-    liouvillian_apply,
+    dense_gammas,
+    dense_inner,
+    dense_operator,
+    dense_string,
     popcount_array,
-    sample_syk,
     string_dagger_phase,
+    string_hamiltonian,
+    string_lindbladian_apply,
+    string_liouvillian_apply,
     string_multiply,
+    string_terms,
 )
-from oracles import dense_gammas, dense_inner, dense_operator, dense_string
 
 N_DENSE = 6
 GAMMAS = dense_gammas(N_DENSE)
 
 masks6 = st.integers(min_value=0, max_value=(1 << N_DENSE) - 1)
 masks16 = st.integers(min_value=0, max_value=(1 << 16) - 1)
+
+
+# -- the string oracle against dense matrices ---------------------------
 
 
 @given(masks6, masks6)
@@ -82,39 +97,62 @@ def test_popcount_array():
     assert popcount_array(masks).tolist() == [0, 1, 3, 63]
 
 
+def test_parity_split():
+    o = StringOperator.from_terms(4, {0b1: 1.0, 0b11: 2.0, 0b111: 3.0})
+    even, odd = o.parity_split()
+    assert set(even.terms) == {0b11}
+    assert set(odd.terms) == {0b1, 0b111}
+
+
+# -- the matrix backend -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_strings_are_the_dense_jordan_wigner_strings(n):
+    gammas = dense_gammas(n)
+    for mask in range(1 << n):
+        assert np.array_equal(OperatorVector.basis_string(n, mask).matrix,
+                              dense_string(gammas, mask))
+
+
 @st.composite
-def operators(draw, n=N_DENSE, max_terms=5):
+def terms(draw, n=N_DENSE, max_terms=5):
     k = draw(st.integers(min_value=1, max_value=max_terms))
-    terms = {}
+    out = {}
     for _ in range(k):
         m = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
         re = draw(st.floats(min_value=-2, max_value=2, allow_nan=False))
         im = draw(st.floats(min_value=-2, max_value=2, allow_nan=False))
-        terms[m] = terms.get(m, 0) + complex(re, im)
-    return OperatorVector.from_terms(n, terms)
+        out[m] = out.get(m, 0) + complex(re, im)
+    return out
 
 
-@given(operators(), operators())
+@given(terms(), terms())
 @settings(max_examples=100, deadline=None)
 def test_inner_product_is_normalized_trace(a, b):
-    da = dense_operator(GAMMAS, a.terms)
-    db = dense_operator(GAMMAS, b.terms)
-    assert abs(a.inner(b) - dense_inner(da, db)) < 1e-10
+    va, vb = OperatorVector.from_terms(N_DENSE, a), OperatorVector.from_terms(N_DENSE, b)
+    assert abs(va.inner(vb) - dense_inner(dense_operator(GAMMAS, a),
+                                          dense_operator(GAMMAS, b))) < 1e-10
+    assert abs(va.inner(vb) - StringOperator.from_terms(N_DENSE, a).inner(
+        StringOperator.from_terms(N_DENSE, b))) < 1e-10
 
 
-@given(operators(), operators())
+@given(terms(), terms())
 @settings(max_examples=60, deadline=None)
 def test_addition_matches_dense(a, b):
-    ds = dense_operator(GAMMAS, (a + b).terms)
-    assert np.allclose(ds, dense_operator(GAMMAS, a.terms)
-                       + dense_operator(GAMMAS, b.terms), atol=1e-12)
+    s = OperatorVector.from_terms(N_DENSE, a) + OperatorVector.from_terms(N_DENSE, b)
+    assert np.allclose(s.matrix, dense_operator(GAMMAS, a) + dense_operator(GAMMAS, b),
+                       atol=1e-12)
 
 
-@given(operators())
+@given(terms())
 @settings(max_examples=60, deadline=None)
 def test_dagger_matches_dense(a):
-    assert np.allclose(dense_operator(GAMMAS, a.dagger().terms),
-                       dense_operator(GAMMAS, a.terms).conj().T, atol=1e-12)
+    assert np.allclose(OperatorVector.from_terms(N_DENSE, a).dagger().matrix,
+                       dense_operator(GAMMAS, a).conj().T, atol=1e-12)
+    assert np.allclose(dense_operator(GAMMAS, StringOperator.from_terms(N_DENSE, a)
+                                      .dagger().terms),
+                       dense_operator(GAMMAS, a).conj().T, atol=1e-12)
 
 
 def test_norm_and_normalized():
@@ -125,13 +163,6 @@ def test_norm_and_normalized():
         OperatorVector.zero(4).normalized()
 
 
-def test_parity_split():
-    o = OperatorVector.from_terms(4, {0b1: 1.0, 0b11: 2.0, 0b111: 3.0})
-    even, odd = o.parity_split()
-    assert set(even.terms) == {0b11}
-    assert set(odd.terms) == {0b1, 0b111}
-
-
 def test_incompatible_sizes_raise():
     with pytest.raises(IncompatibleOperatorsError):
         OperatorVector.zero(4).inner(OperatorVector.zero(6))
@@ -140,6 +171,8 @@ def test_incompatible_sizes_raise():
 def test_basis_string_range_check():
     with pytest.raises(ValidationError):
         OperatorVector.basis_string(4, 1 << 5)
+    with pytest.raises(ValidationError):
+        OperatorVector.zero(5)
 
 
 def test_syk_sampling_is_deterministic_and_scaled():
@@ -163,9 +196,11 @@ def test_syk_validation():
 
 
 def test_hamiltonian_is_hermitian_dense():
-    h = sample_syk(N_DENSE, 4, 1.0, seed=3)
-    dense = dense_operator(GAMMAS, h.to_operator().terms)
-    assert np.allclose(dense, dense.conj().T, atol=1e-12)
+    for q in (2, 4, 6):
+        h = sample_syk(N_DENSE, q, 1.0, seed=3)
+        dense = dense_operator(GAMMAS, string_hamiltonian(h).terms)
+        assert np.allclose(h.matrix, dense, atol=1e-12)
+        assert np.allclose(h.matrix, h.matrix.conj().T, atol=1e-12)
 
 
 def test_j_script_sq():
@@ -176,33 +211,48 @@ def test_j_script_sq():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_liouvillian_against_dense_commutator(seed):
     h = sample_syk(N_DENSE, 4, 1.0, seed=seed)
-    hd = dense_operator(GAMMAS, h.to_operator().terms)
-    o = OperatorVector.from_terms(
-        N_DENSE, {0b1: 1.0, 0b111: 0.5 - 0.25j, 0b10101: -1.0})
-    od = dense_operator(GAMMAS, o.terms)
-    res = liouvillian_apply(h, o)
-    assert np.allclose(dense_operator(GAMMAS, res.terms), hd @ od - od @ hd,
-                       atol=1e-12)
+    hd = dense_operator(GAMMAS, string_hamiltonian(h).terms)
+    t = {0b1: 1.0, 0b111: 0.5 - 0.25j, 0b10101: -1.0}
+    od = dense_operator(GAMMAS, t)
+    expected = hd @ od - od @ hd
+    res = liouvillian_apply(h, OperatorVector.from_terms(N_DENSE, t))
+    assert np.allclose(res.matrix, expected, atol=1e-12)
+    oracle = string_liouvillian_apply(h, StringOperator.from_terms(N_DENSE, t))
+    assert np.allclose(dense_operator(GAMMAS, oracle.terms), expected, atol=1e-12)
 
 
 def test_liouvillian_hermitian_wrt_inner():
     h = sample_syk(N_DENSE, 4, 1.0, seed=5)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        a = OperatorVector.from_terms(
+        a, b = (OperatorVector.from_terms(
             N_DENSE, {int(m): complex(*rng.normal(size=2))
-                      for m in rng.integers(0, 1 << N_DENSE, size=4)})
-        b = OperatorVector.from_terms(
-            N_DENSE, {int(m): complex(*rng.normal(size=2))
-                      for m in rng.integers(0, 1 << N_DENSE, size=4)})
+                      for m in rng.integers(0, 1 << N_DENSE, size=4)}) for _ in range(2))
         lhs = a.inner(liouvillian_apply(h, b))
         rhs = liouvillian_apply(h, a).inner(b)
         assert abs(lhs - rhs) < 1e-11
 
 
 def test_first_commutator_support_size():
-    # [H, gamma_1] at q = 4 is supported on size-3 strings only
-    h = sample_syk(10, 4, 1.0, seed=1)
-    res = liouvillian_apply(h, OperatorVector.basis_string(10, 1))
-    assert set(res.sizes().tolist()) == {3}
-    assert all(not (m & 1) for m in res.terms)  # gamma_1 itself consumed
+    # [H, gamma_1] at q = 4 is supported on size-3 strings only, and the
+    # matrix of an operator of one parity has at most 2^(N-1) nonzeros
+    n = 10
+    h = sample_syk(n, 4, 1.0, seed=1)
+    res = liouvillian_apply(h, OperatorVector.basis_string(n, 1))
+    support = string_terms(dense_gammas(n), res.matrix)
+    assert {m.bit_count() for m in support} == {3}
+    assert all(not (m & 1) for m in support)  # gamma_1 itself consumed
+    assert 0 < res.n_terms <= 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n, mu", [(8, 0.0), (10, 0.05)])
+def test_arnoldi_matches_string_backend(n, mu):
+    # the Hessenberg matrix is basis-independent: the matrix and string
+    # backends must agree to rounding on the same Lindbladian
+    model = DissipativeModel(hamiltonian=sample_syk(n, 4, 1.0, seed=4), mu=mu)
+    hm, _ = arnoldi(lambda v: lindbladian_apply(model, v),
+                    OperatorVector.basis_string(n, 1), 8)
+    ref, _ = arnoldi(lambda v: string_lindbladian_apply(model, v),
+                     StringOperator.basis_string(n, 1), 8)
+    assert hm.basis_dim == ref.basis_dim
+    assert np.max(np.abs(hm.h - ref.h)) < 1e-12
