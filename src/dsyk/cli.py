@@ -121,10 +121,17 @@ def finite_n_bytes(n, n_max):
 
 
 def _require_counts(*flags):
-    """Raise ValidationError for any (flag, value) count below 1."""
+    """Raise ValidationError for any (flag, value) count below 1 (None: unset)."""
     for flag, value in flags:
-        if value < 1:
+        if value is not None and value < 1:
             raise ValidationError(f"{flag} must be at least 1, got {value}")
+
+
+def _require_positive(*flags):
+    """Raise ValidationError for any (flag, value) not above 0 (NaN included)."""
+    for flag, value in flags:
+        if not value > 0:
+            raise ValidationError(f"{flag} must be positive, got {value}")
 
 
 def cmd_finite_n_arnoldi(args):
@@ -206,6 +213,7 @@ def cmd_large_n(args):
 
 
 def cmd_moments(args):
+    _require_counts(("--nmax", args.nmax), ("--q", args.q))
     out_dir = _out_dir(args)
     polys = moments_from_g(args.nmax)
     manifest = _manifest(args, n_max=args.nmax, mu_tilde=args.mu_tilde)
@@ -232,6 +240,8 @@ def cmd_moments(args):
 
 
 def cmd_meixner(args):
+    _require_counts(("--points", args.points))
+    _require_positive(("--tmax", args.tmax))
     out_dir = _out_dir(args)
     ts = np.linspace(0.0, args.tmax, args.points)
     for u in args.u:
@@ -246,6 +256,8 @@ def cmd_meixner(args):
 
 
 def cmd_evolve(args):
+    _require_counts(("--points", args.points), ("--ntrunc", args.ntrunc))
+    _require_positive(("--tmax", args.tmax), ("--dt-tol", args.dt_tol))
     out_dir = _out_dir(args)
     p = MeixnerParams(u=args.u, eta=args.eta)
     n_trunc = args.ntrunc or meixner_n_trunc(p, args.tmax)
@@ -303,7 +315,8 @@ def build_parser():
     p.add_argument("--mu", type=float, default=0.0,
                    help="dissipation strength (enables Arnoldi mode)")
     p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--max-trees", type=int, default=2_000_000)
+    p.add_argument("--max-trees", type=int, default=None,
+                   help="cap on the tree count (default: a memory estimate alone)")
     p.set_defaults(func=cmd_large_n)
 
     p = sub.add_parser("moments", help="exact large-q moment polynomials and "

@@ -12,12 +12,19 @@ against 1/q per arc, leaving G(T) = (2 J_script^2)^n / |Aut(T)| with no
 child-count cap; transitions back to the bare fermion carry weight 2/q and
 drop out.  With J_script^2 = 1/2 the large-q identities are exact rational
 statements and are computed as such.
+
+A state holds one 1-D array per generation, indexed by position within
+that generation's contiguous tree ids: float64 (complex128 once a complex
+scalar enters) in float spaces, and objects (ints and Fractions) in exact
+spaces, so exact runs stay exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import NormalizationError, ValidationError
 from .krylov import TridiagonalCoeffs, lanczos
@@ -32,18 +39,15 @@ def _default_j_sq(q):
     return Fraction(q, 2 ** (q - 1))
 
 
-def _conj(v):
-    return v.conjugate() if isinstance(v, complex) else v
-
-
-def _abs_sq(v):
-    return abs(v) ** 2 if isinstance(v, complex) else v * v
+def _wdot(x, y, g):
+    """sum conj(x) g y over one generation."""
+    return np.vdot(x, g * y)
 
 
 class DiagramSpace:
-    """Tree registry plus the physical weights G(T) for a given (q, J)."""
+    """Tree graph plus the physical weights G(T) for a given (q, J)."""
 
-    def __init__(self, q=None, j_sq=None, exact=None, max_trees=2_000_000):
+    def __init__(self, q=None, j_sq=None, exact=None, max_trees=None):
         if q is not None and (q % 2 or q < 4):
             raise ValidationError(f"q={q} must be an even integer >= 4 (or None)")
         self.q = q
@@ -58,53 +62,69 @@ class DiagramSpace:
         else:
             self.arc_weight = 2 * self.j_sq / q
         self.trees = TreeSpace(q=q, max_trees=max_trees)
-        one = Fraction(1) if exact else 1.0
-        self._g = {TreeSpace.VACUUM: one}
+        self._g = []
 
-    def weight(self, i):
-        """Disorder-averaged squared norm G of the basis diagram with id i."""
-        g = self._g.get(i)
-        if g is None:
-            t = self.trees
-            n = t.n_arcs(i)
-            slots = t.slot_product(i, self.q) if self.q is not None else 1
+    def weights(self, n):
+        """G of every tree in generation n, as one array."""
+        t = self.trees
+        while len(self._g) <= n:
+            k = len(self._g)
+            ids = t.ids(k)
+            slot, aut = t.slot[ids.start:ids.stop], t.aut[ids.start:ids.stop]
+            wk = self.arc_weight ** k
             if self.exact:
-                g = self.arc_weight ** n * Fraction(slots, t.aut(i))
+                g = np.array([wk * Fraction(s, a) for s, a in zip(slot, aut)], dtype=object)
             else:
-                g = self.arc_weight ** n * slots / t.aut(i)
-            self._g[i] = g
-        return g
+                g = wk * np.array(slot, dtype=float) / np.array(aut, dtype=float)
+            self._g.append(g)
+        return self._g[n]
+
+    def state(self, terms):
+        """The state with coefficients {tree id: c}."""
+        t = self.trees
+        gens = {}
+        for i, c in terms.items():
+            n = t.generation_of(i)
+            if n not in gens:
+                gens[n] = np.zeros(t.count(n), dtype=object if self.exact else float)
+            gens[n][i - t.start[n]] = c
+        return DiagramState(self, gens)
 
     def _one(self):
         return Fraction(1) if self.exact else 1.0
 
     def vacuum_state(self):
-        return DiagramState(self, {TreeSpace.VACUUM: self._one()})
+        return self.state({TreeSpace.VACUUM: self._one()})
 
     def root_state(self):
-        return DiagramState(self, {TreeSpace.ROOT: self._one()})
+        return self.state({TreeSpace.ROOT: self._one()})
 
 
 class DiagramState:
-    """Sparse weighted sum of canonical trees in a DiagramSpace.
+    """Weighted sum of canonical trees: {generation: coefficient array}.
 
     Supports the vector interface of the Krylov builders; the inner product
-    carries the diagram norms G(T).
+    carries the diagram norms G(T).  Arrays are never written in place, so
+    states may share them.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "gens")
 
-    def __init__(self, space, terms):
+    def __init__(self, space, gens):
         self.space = space
-        self.terms = terms
+        self.gens = gens
 
-    def tree_terms(self):
-        """Coefficients keyed by canonical tree encoding (None = bare fermion)."""
-        enc = self.space.trees.enc_of
-        return {enc(i): c for i, c in self.terms.items()}
+    @property
+    def terms(self):
+        """Nonzero coefficients keyed by tree id."""
+        out = {}
+        for n, v in sorted(self.gens.items()):
+            nz = np.flatnonzero(v)
+            out.update(zip((nz + self.space.trees.start[n]).tolist(), v[nz].tolist()))
+        return out
 
     def generations(self):
-        return sorted({self.space.trees.n_arcs(i) for i in self.terms})
+        return sorted(n for n, v in self.gens.items() if np.count_nonzero(v))
 
     def _check_space(self, other):
         if not isinstance(other, DiagramState) or other.space is not self.space:
@@ -112,64 +132,45 @@ class DiagramState:
 
     def __add__(self, other):
         self._check_space(other)
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            v = out.get(i, 0) + c
-            if v:
-                out[i] = v
-            elif i in out:
-                del out[i]
+        out = dict(self.gens)
+        for n, v in other.gens.items():
+            out[n] = out[n] + v if n in out else v
         return DiagramState(self.space, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        if not scalar:
-            return DiagramState(self.space, {})
-        return DiagramState(self.space, {i: c * scalar for i, c in self.terms.items()})
+        return DiagramState(self.space, {n: v * scalar for n, v in self.gens.items()})
 
     __rmul__ = __mul__
 
     def iaxpy(self, c, other):
-        """In-place self += c * other (hot path for reorthogonalization)."""
+        """self += c * other, replacing this state's arrays (reorthogonalization)."""
         self._check_space(other)
         if not c:
             return
-        out = self.terms
-        for i, x in other.terms.items():
-            v = out.get(i, 0) + c * x
-            if v:
-                out[i] = v
-            elif i in out:
-                del out[i]
+        for n, v in other.gens.items():
+            self.gens[n] = self.gens[n] + c * v if n in self.gens else c * v
 
     def inner(self, other):
         """G-weighted inner product, conjugate-linear in self."""
         self._check_space(other)
-        w = self.space.weight
-        acc = 0
-        if len(self.terms) <= len(other.terms):
-            for i, c in self.terms.items():
-                d = other.terms.get(i)
-                if d is not None:
-                    acc += _conj(c) * d * w(i)
-        else:
-            for i, d in other.terms.items():
-                c = self.terms.get(i)
-                if c is not None:
-                    acc += _conj(c) * d * w(i)
-        return acc
+        w = self.space.weights
+        return sum(_wdot(v, other.gens[n], w(n))
+                   for n, v in sorted(self.gens.items()) if n in other.gens)
 
     def norm_sq(self):
-        w = self.space.weight
-        acc = 0
-        for i, c in self.terms.items():
-            acc += _abs_sq(c) * w(i)
-        return acc
+        return self.inner(self).real
 
     def norm(self):
         return math.sqrt(float(self.norm_sq()))
+
+
+def _scatter(index, values, size):
+    out = np.zeros(size, dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
 
 
 def l_plus_apply(state: DiagramState) -> DiagramState:
@@ -185,17 +186,9 @@ def l_plus_apply(state: DiagramState) -> DiagramState:
     if space.q is None and len(state.generations()) > 1:
         raise ValidationError("large-q diagram states must be generation-homogeneous")
     out = {}
-    for i in state.terms:
-        for s_id in t.successors(i):
-            if s_id in out:
-                continue
-            acc = 0
-            for p_id, mult in t.predecessors(s_id):
-                xp = state.terms.get(p_id)
-                if xp is not None:
-                    acc += mult * xp
-            if acc:
-                out[s_id] = acc
+    for n, x in state.gens.items():
+        step = t.successors(n)
+        out[n + 1] = _scatter(step.cols, step.mult * x[step.rows], t.count(n + 1))
     return DiagramState(space, out)
 
 
@@ -208,18 +201,14 @@ def l_minus_apply(state: DiagramState) -> DiagramState:
     """
     space = state.space
     t = space.trees
-    w = space.weight
+    w = space.weights
     out = {}
-    for i, y in state.terms.items():
-        gi = w(i)
-        for p_id, mult in t.predecessors(i):
-            if p_id == TreeSpace.VACUUM and space.q is None:
-                continue
-            v = out.get(p_id, 0) + mult * (gi / w(p_id)) * y
-            if v:
-                out[p_id] = v
-            elif p_id in out:
-                del out[p_id]
+    for n, y in state.gens.items():
+        if n == 0 or (n == 1 and space.q is None):
+            continue
+        step = t.predecessors(n)
+        down = _scatter(step.rows, step.mult * (w(n) * y)[step.cols], t.count(n - 1))
+        out[n - 1] = down / w(n - 1)
     return DiagramState(space, out)
 
 
@@ -236,18 +225,16 @@ def make_dissipative_apply(space: DiagramSpace, mu: float):
     """
     if space.q is None:
         raise ValidationError("dissipative diagram evolution needs finite q")
-    t = space.trees
     qm2 = space.q - 2
 
     def apply(state):
-        diag = {i: 1j * mu * (qm2 * t.n_arcs(i) + 1) * c
-                for i, c in state.terms.items()}
+        diag = {n: 1j * mu * (qm2 * n + 1) * v for n, v in state.gens.items()}
         return hamiltonian_apply(state) + DiagramState(space, diag)
 
     return apply
 
 
-def lanczos_large_n(q_mode, n_max, j_sq=None, max_trees=2_000_000):
+def lanczos_large_n(q_mode, n_max, j_sq=None, max_trees=None):
     """Large-N Lanczos; returns (coeffs, basis states), basis[n] in generation n.
 
     q_mode None runs the strict large-q engine in exact rational
@@ -285,17 +272,11 @@ def size_distribution(state: DiagramState, q=None, normalize=False):
         q = space.q
     if q is None:
         raise ValidationError("supply q to label sizes of a large-q state")
-    w = space.weight
-    t = space.trees
-    by_size = {}
-    total = 0
-    for i, c in state.terms.items():
-        p = _abs_sq(c) * w(i)
-        s = (q - 2) * t.n_arcs(i) + 1
-        by_size[s] = by_size.get(s, 0) + p
-        total += p
+    by_size = {(q - 2) * n + 1: _wdot(v, v, space.weights(n)).real
+               for n, v in sorted(state.gens.items()) if np.count_nonzero(v)}
     if not by_size:
         raise ValidationError("empty diagram state")
+    total = sum(by_size.values())
     if not normalize and abs(float(total) - 1.0) > 1e-6:
         raise NormalizationError(
             f"state norm^2 = {float(total)!r}; pass normalize=True for raw states")

@@ -190,6 +190,8 @@ def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
         raise ValidationError(f"N and q must be even positive integers, got N={n}, q={q}")
     if q > n:
         raise ValidationError(f"q={q} exceeds N={n}")
+    if seed < 0:
+        raise ValidationError(f"seed={seed} must be >= 0")
     sigma = math.sqrt(math.factorial(q - 1) * j ** 2 / n ** (q - 1))
     rng = np.random.default_rng(seed)
     subsets = list(combinations(range(n), q))

@@ -1,198 +1,198 @@
-"""Canonical rooted unordered trees and their growth combinatorics.
-
-A tree is encoded as a nested tuple: each vertex is the sorted tuple of its
-children's encodings, so ``()`` is a single vertex and ``((), ())`` is a
-root with two leaf children.  Sorting makes the encoding unique per
-isomorphism class, hence plain ``==`` decides isomorphism.
+"""Canonical rooted unordered trees as integer ids, grown one generation at a time.
 
 Each vertex represents one interaction arc of an open melon diagram; a
 growth step attaches one new leaf somewhere, a contraction removes one
-childless vertex.  ``TreeSpace`` interns encodings into integer ids and
-caches the attach/remove adjacency so that repeated sweeps over large
-diagram states stay cheap.
+childless vertex.  Id 0 is the empty diagram (the bare fermion) and id 1
+the single arc.  Every other tree is stored as the sorted tuple of its
+children's ids (Aho-Hopcroft-Ullman), so two trees are isomorphic exactly
+when their child-id tuples are equal.  Generation n holds the trees with
+n arcs; it is built in one pass from generation n - 1 and its ids are
+contiguous.  Each step from generation n to n + 1 keeps the attach counts
+a(T -> S) as CSR-ordered edge arrays, and the removal multiplicities
+follow from them as m(S -> T) = a(T -> S) |Aut S| / |Aut T|.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+from bisect import bisect
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import ResourceLimitError
+
+VACUUM = 0
+ROOT = 1
+
+# memory per tree of a whole Lanczos run, rounded up from the heaviest one
+# measured: the exact q = 4 run to n = 17 peaked at 846 MB RSS for 527,024
+# trees (1,600 bytes each); float q = 4 to n = 15 traced 1,100 bytes per tree
+TREE_BYTES = 2_000
 
 
 @lru_cache(maxsize=None)
-def n_vertices(enc) -> int:
-    return 1 + sum(n_vertices(c) for c in enc)
+def leaf_removals(kids):
+    """(rest, c, k) for each distinct child id c of a tree, k its multiplicity.
 
-
-@lru_cache(maxsize=None)
-def _subtree_size_product(enc) -> int:
-    p = n_vertices(enc)
-    for c in enc:
-        p *= _subtree_size_product(c)
-    return p
-
-
-def linear_extensions(enc) -> int:
-    """Number of vertex orderings in which every vertex precedes its children.
-
-    This is the number of distinct ways the tree can be built by adding one
-    arc at a time; by the hook-length formula it equals n!/prod(subtree sizes).
+    rest is the child-id tuple left when one copy of c is taken off.  A
+    leaf is removed either as such a child (c == ROOT, leaving rest) or
+    from inside one, turning the child ids into rest plus a predecessor
+    of c; |Aut| is the product of |Aut c|^k k! over these children.
     """
-    return factorial(n_vertices(enc)) // _subtree_size_product(enc)
+    out = []
+    prev = VACUUM
+    for i, c in enumerate(kids):
+        if c != prev:
+            out.append((kids[:i] + kids[i + 1:], c, kids.count(c)))
+            prev = c
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def automorphisms(enc) -> int:
-    """Order of the automorphism group of the rooted tree."""
-    a = 1
-    run = 1
-    for i, c in enumerate(enc):
-        a *= automorphisms(c)
-        if i > 0 and c == enc[i - 1]:
-            run += 1
-        else:
-            run = 1
-        a *= run  # accumulates factorial of each equal-children run
-    return a
+def attachments(kids, cap):
+    """(rest, c, k) for every place a new leaf can grow on a tree.
 
-
-def canonical(children) -> tuple:
-    """Canonical encoding from an iterable of child encodings."""
-    return tuple(sorted(children))
-
-
-@lru_cache(maxsize=None)
-def attachments(enc, max_children=None):
-    """Distinct trees obtained by attaching one new leaf at some vertex.
-
-    With ``max_children`` set, vertices already carrying that many children
-    do not accept the new leaf.
+    Growing inside one of the k copies of child c turns the child ids into
+    rest plus a successor of c.  The root, while it has fewer than cap
+    children (no bound for cap None), is the site (kids, VACUUM, 1): its
+    new child is the single arc, the only successor of the empty diagram.
     """
-    out = set()
-    if max_children is None or len(enc) < max_children:
-        out.add(canonical(enc + ((),)))
-    for i, child in enumerate(enc):
-        rest = enc[:i] + enc[i + 1:]
-        for sub in attachments(child, max_children):
-            out.add(canonical(rest + (sub,)))
-    return tuple(sorted(out))
+    root = ((kids, VACUUM, 1),) if cap is None or len(kids) < cap else ()
+    return root + leaf_removals(kids)
 
 
-@lru_cache(maxsize=None)
-def leaf_removals(enc):
-    """Map removed-leaf results to leaf multiplicities.
+class Step(NamedTuple):
+    """Edges from generation n to n + 1 in CSR order (sorted by T).
 
-    Returns a tuple of (tree, m) pairs where m counts the individual
-    childless vertices of ``enc`` whose removal yields that tree.  The root
-    itself is never removed here; a single vertex has no removable leaves.
+    rows and cols are positions within the two generations; attach holds
+    a(T -> S) and mult the removal multiplicity m(S -> T).
     """
-    counts = {}
-    for i, child in enumerate(enc):
-        rest = enc[:i] + enc[i + 1:]
-        if child == ():
-            counts[canonical(rest)] = counts.get(canonical(rest), 0) + 1
-        else:
-            for sub, m in leaf_removals(child):
-                t = canonical(rest + (sub,))
-                counts[t] = counts.get(t, 0) + m
-    return tuple(sorted(counts.items()))
 
-
-@lru_cache(maxsize=None)
-def slot_factor_product(enc, q: int) -> int:
-    """Product over vertices of (q-1)(q-2)...(q-c) with c the child count.
-
-    This is the disorder-averaged vertex weight accumulated by filling c of
-    the q-1 available Majorana slots of each arc with further arcs.
-    """
-    p = 1
-    for j in range(len(enc)):
-        p *= q - 1 - j
-    for c in enc:
-        p *= slot_factor_product(c, q)
-    return p
-
-
-def enumerate_trees(n: int, max_children=None):
-    """All canonical trees with exactly n vertices (n >= 1)."""
-    if n == 1:
-        return [()]
-    out = set()
-    for t in enumerate_trees(n - 1, max_children):
-        out.update(attachments(t, max_children))
-    return sorted(out)
+    rows: np.ndarray
+    cols: np.ndarray
+    attach: np.ndarray
+    mult: np.ndarray
 
 
 class TreeSpace:
-    """Interned tree registry with cached growth/contraction adjacency.
+    """Tree ids with their |Aut|, slot products and per-generation edges.
 
-    Ids are dense integers; id 0 is the empty diagram (no arcs, the bare
-    initial fermion) and id 1 the single-arc tree.  ``q`` bounds children
-    per vertex at q-1; ``q=None`` means no bound (the large-q engine).
+    ``q`` bounds children per vertex at q-1; ``q=None`` means no bound (the
+    large-q engine).  The next generation is built only once it is asked
+    for, and not when its projected size times TREE_BYTES exceeds the
+    memory the operating system reports available, or when the tree count
+    would pass ``max_trees`` (None: no cap); both raise ResourceLimitError.
     """
 
-    VACUUM = 0
-    ROOT = 1
+    VACUUM = VACUUM
+    ROOT = ROOT
 
-    def __init__(self, q=None, max_trees=2_000_000):
-        self.q = q
+    def __init__(self, q=None, max_trees=None):
+        self.cap = None if q is None else q - 1
         self.max_trees = max_trees
-        self._encs = [None, ()]
-        self._index = {(): 1}
-        self._succ = [None, None]
-        self._pred = [None, None]
+        self.kids = [None, ()]
+        self._index = {(): ROOT}
+        self.aut = [1, 1]
+        # product over vertices of (q-1)(q-2)...(q-c), c the child count
+        self.slot = [1, 1]
+        self.start = [0, 1, 2]   # generation n holds ids start[n] .. start[n+1]-1
+        one = np.ones(1, dtype=np.int64)
+        self.steps = [Step(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                           one, one)]
+        self._succ = [((ROOT, 1),), None]   # (S id, a) per expanded tree
 
     def __len__(self):
-        return len(self._encs)
+        return len(self.kids)
 
-    def intern(self, enc) -> int:
-        i = self._index.get(enc)
-        if i is None:
-            if len(self._encs) >= self.max_trees:
-                from .errors import ResourceLimitError
-                raise ResourceLimitError(
-                    f"tree registry exceeded max_trees={self.max_trees}")
-            i = len(self._encs)
-            self._index[enc] = i
-            self._encs.append(enc)
-            self._succ.append(None)
-            self._pred.append(None)
+    def ids(self, n):
+        """The contiguous ids of generation n (building it if needed)."""
+        while len(self.start) <= n + 1:
+            self._grow()
+        return range(self.start[n], self.start[n + 1])
+
+    def count(self, n):
+        return len(self.ids(n))
+
+    def generation_of(self, i):
+        return bisect(self.start, i) - 1
+
+    def successors(self, n):
+        """The attach step from generation n to n + 1."""
+        while len(self.steps) <= n:
+            self._grow()
+        return self.steps[n]
+
+    def predecessors(self, n):
+        """The attach step into generation n, read backwards for removals."""
+        return self.successors(n - 1)
+
+    def _intern(self, kids):
+        i = len(self.kids)
+        self._index[kids] = i
+        self.kids.append(kids)
+        aut = 1
+        slot = 1 if self.cap is None else perm(self.cap, len(kids))
+        for _, c, k in leaf_removals(kids):
+            aut *= self.aut[c] ** k * factorial(k)
+            slot *= self.slot[c] ** k
+        self.aut.append(aut)
+        self.slot.append(slot)
         return i
 
-    def enc_of(self, i):
-        return self._encs[i]
+    def next_generation_bytes(self):
+        """TREE_BYTES times the next generation's size, projected from the
+        growth ratio of the last step."""
+        n = len(self.start) - 2
+        size, prev = self.count(n), self.count(n - 1)
+        return TREE_BYTES * (size * size // prev)
 
-    def n_arcs(self, i) -> int:
-        return 0 if i == self.VACUUM else n_vertices(self._encs[i])
+    def _attach_all(self, lo, hi):
+        """Grow every tree of ids lo..hi-1 by one leaf, interning the results."""
+        kids, index, succ_of = self.kids, self._index, self._succ
+        for t in range(lo, hi):
+            grown = {}
+            for rest, c, k in attachments(kids[t], self.cap):
+                for s, a in succ_of[c]:
+                    i = bisect(rest, s)
+                    key = rest[:i] + (s,) + rest[i:]
+                    grown[key] = grown.get(key, 0) + k * a
+            succ_of[t] = tuple([(index.get(key) or self._intern(key), a)
+                                for key, a in grown.items()])
 
-    def aut(self, i) -> int:
-        return 1 if i == self.VACUUM else automorphisms(self._encs[i])
-
-    def slot_product(self, i, q) -> int:
-        return 1 if i == self.VACUUM else slot_factor_product(self._encs[i], q)
-
-    def successors(self, i):
-        """Ids of trees reachable by attaching one leaf."""
-        s = self._succ[i]
-        if s is None:
-            if i == self.VACUUM:
-                s = (self.ROOT,)
-            else:
-                cap = None if self.q is None else self.q - 1
-                s = tuple(self.intern(t)
-                          for t in attachments(self._encs[i], cap))
-            self._succ[i] = s
-        return s
-
-    def predecessors(self, i):
-        """(id, multiplicity) pairs of trees reachable by removing one leaf."""
-        p = self._pred[i]
-        if p is None:
-            if i == self.VACUUM:
-                p = ()
-            elif i == self.ROOT:
-                p = ((self.VACUUM, 1),)
-            else:
-                p = tuple((self.intern(t), m)
-                          for t, m in leaf_removals(self._encs[i]))
-            self._pred[i] = p
-        return p
+    def _grow(self):
+        """Build the generation after the newest one."""
+        n = len(self.start) - 2
+        lo, hi = self.start[n], self.start[n + 1]
+        need = self.next_generation_bytes()
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > free:
+            raise ResourceLimitError(
+                f"generation {n + 1} needs about {need / 2 ** 30:.1f} GiB "
+                f"({TREE_BYTES} bytes per projected tree); "
+                f"{free / 2 ** 30:.1f} GiB is available")
+        # the build allocates a few tuples per edge and no reference cycles, so
+        # the collector, which would trace them all, pauses until it ends
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._attach_all(lo, hi)
+        finally:
+            if enabled:
+                gc.enable()
+        self.start.append(len(self.kids))
+        self._succ += [None] * (len(self.kids) - len(self._succ))
+        succ = self._succ[lo:hi]
+        rows = np.repeat(np.arange(hi - lo), [len(x) for x in succ])
+        cols, attach = np.array([e for x in succ for e in x], dtype=np.int64).T.copy()
+        aut = np.array(self.aut[lo:], dtype=float)
+        # m is a small integer and this float quotient lies within ~1e-16 of it
+        mult = np.rint(attach * aut[cols - lo] / aut[rows]).astype(np.int64)
+        self.steps.append(Step(rows, cols - hi, attach, mult))
+        if self.max_trees is not None and len(self.kids) > self.max_trees:
+            raise ResourceLimitError(
+                f"generation {n + 1} brings the tree count to {len(self.kids)}, "
+                f"above max_trees={self.max_trees}")

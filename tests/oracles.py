@@ -6,6 +6,8 @@ test except for plain data containers.
 """
 
 import itertools
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 import scipy.linalg
@@ -103,6 +105,140 @@ def brute_linear_extensions(enc):
         if all(p == -1 or perm[p] < perm[v] for v, p in enumerate(parent)):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# nested-tuple rooted trees: the reference for dsyk.trees' integer-id graph
+#
+# A tree is encoded as a nested tuple: each vertex is the sorted tuple of its
+# children's encodings, so () is a single vertex and ((), ()) is a root with
+# two leaf children.  Sorting makes the encoding unique per isomorphism class.
+
+
+@lru_cache(maxsize=None)
+def n_vertices(enc) -> int:
+    return 1 + sum(n_vertices(c) for c in enc)
+
+
+@lru_cache(maxsize=None)
+def _subtree_size_product(enc) -> int:
+    p = n_vertices(enc)
+    for c in enc:
+        p *= _subtree_size_product(c)
+    return p
+
+
+def linear_extensions(enc) -> int:
+    """Number of vertex orderings in which every vertex precedes its children.
+
+    This is the number of distinct ways the tree can be built by adding one
+    arc at a time; by the hook-length formula it equals n!/prod(subtree sizes).
+    """
+    return factorial(n_vertices(enc)) // _subtree_size_product(enc)
+
+
+@lru_cache(maxsize=None)
+def automorphisms(enc) -> int:
+    """Order of the automorphism group of the rooted tree."""
+    a = 1
+    run = 1
+    for i, c in enumerate(enc):
+        a *= automorphisms(c)
+        if i > 0 and c == enc[i - 1]:
+            run += 1
+        else:
+            run = 1
+        a *= run  # accumulates factorial of each equal-children run
+    return a
+
+
+def canonical(children) -> tuple:
+    """Canonical encoding from an iterable of child encodings."""
+    return tuple(sorted(children))
+
+
+@lru_cache(maxsize=None)
+def attachments(enc, max_children=None):
+    """Distinct trees obtained by attaching one new leaf at some vertex.
+
+    With ``max_children`` set, vertices already carrying that many children
+    do not accept the new leaf.
+    """
+    out = set()
+    if max_children is None or len(enc) < max_children:
+        out.add(canonical(enc + ((),)))
+    for i, child in enumerate(enc):
+        rest = enc[:i] + enc[i + 1:]
+        for sub in attachments(child, max_children):
+            out.add(canonical(rest + (sub,)))
+    return tuple(sorted(out))
+
+
+def attach_counts(enc, max_children=None):
+    """{S: number of vertices of enc at which one new leaf gives S}."""
+    def grown(e):   # one result per vertex, equal children counted apart
+        if max_children is None or len(e) < max_children:
+            yield canonical(e + ((),))
+        for i, child in enumerate(e):
+            for sub in grown(child):
+                yield canonical(e[:i] + e[i + 1:] + (sub,))
+
+    counts = {}
+    for s in grown(enc):
+        counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+@lru_cache(maxsize=None)
+def leaf_removals(enc):
+    """Map removed-leaf results to leaf multiplicities.
+
+    Returns a tuple of (tree, m) pairs where m counts the individual
+    childless vertices of ``enc`` whose removal yields that tree.  The root
+    itself is never removed here; a single vertex has no removable leaves.
+    """
+    counts = {}
+    for i, child in enumerate(enc):
+        rest = enc[:i] + enc[i + 1:]
+        if child == ():
+            counts[canonical(rest)] = counts.get(canonical(rest), 0) + 1
+        else:
+            for sub, m in leaf_removals(child):
+                t = canonical(rest + (sub,))
+                counts[t] = counts.get(t, 0) + m
+    return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=None)
+def slot_factor_product(enc, q: int) -> int:
+    """Product over vertices of (q-1)(q-2)...(q-c) with c the child count.
+
+    This is the disorder-averaged vertex weight accumulated by filling c of
+    the q-1 available Majorana slots of each arc with further arcs.
+    """
+    p = 1
+    for j in range(len(enc)):
+        p *= q - 1 - j
+    for c in enc:
+        p *= slot_factor_product(c, q)
+    return p
+
+
+def enumerate_trees(n: int, max_children=None):
+    """All canonical trees with exactly n vertices (n >= 1)."""
+    if n == 1:
+        return [()]
+    out = set()
+    for t in enumerate_trees(n - 1, max_children):
+        out.update(attachments(t, max_children))
+    return sorted(out)
+
+
+def nested_tree(space, i):
+    """The nested-tuple encoding of tree id i of a dsyk TreeSpace (None: no arcs)."""
+    if i == 0:
+        return None
+    return canonical(nested_tree(space, c) for c in space.kids[i])
 
 
 def gram_schmidt_hessenberg(mat, v0, n_max):

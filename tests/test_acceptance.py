@@ -289,11 +289,7 @@ def test_criterion_12_property_suites():
         ok = ok and abs(lhs - rhs) < 1e-10
     # adjointness of the growth/contraction pair in exact arithmetic
     sp_ = DiagramSpace(q=4, exact=True)
-    from dsyk.largen import DiagramState
-    frontier = [1]
-    for _ in range(3):
-        frontier = sorted({s for i in frontier for s in sp_.trees.successors(i)})
-    xs = DiagramState(sp_, {i: F(k + 1) for k, i in enumerate(frontier[:4])})
+    xs = sp_.state({i: F(k + 1) for k, i in enumerate(sp_.trees.ids(4)[:4])})
     ys = l_plus_apply(xs)
     ok = ok and l_plus_apply(xs).inner(ys) == xs.inner(l_minus_apply(ys))
     # orthonormality defect of a Krylov basis under the weighted inner product

@@ -2,10 +2,13 @@
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dsyk import trees
 from dsyk.cli import finite_n_bytes, main
 
 
@@ -110,6 +113,50 @@ def test_counts_below_one_exit_code(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+# small, bad or unparsable values for each subcommand's flags (None: a switch);
+# sizes stay small enough that no case builds a big graph, and --workers
+# never exceeds 1
+_FLAG_VALUES = {
+    "finite-n-arnoldi": {"--n": ["-2", "0", "3", "4", "6", "x"],
+                         "--q": ["-2", "0", "2", "3", "4", "8"],
+                         "--mu": ["-1", "0", "0.05"], "--nmax": ["-1", "0", "1", "3"],
+                         "--seed": ["-1", "0", "2"], "--coupling": ["-1", "0", "1"]},
+    "large-n": {"--q": ["-2", "0", "2", "3", "4", "6"], "--q-inf": None,
+                "--mu": ["-0.1", "0", "0.1"], "--nmax": ["-1", "0", "1", "4"],
+                "--max-trees": ["-1", "0", "1", "5", "50", "x"]},
+    "moments": {"--nmax": ["-1", "0", "1", "2", "6"], "--q": ["-2", "0", "1", "4"],
+                "--mu-tilde": ["-0.5", "0", "0.1", "2"]},
+    "meixner": {"--u": ["-1", "0", "0.1", "1", "1.5"], "--eta": ["-1", "0", "0.5"],
+                "--tmax": ["-1", "0", "1"], "--points": ["-1", "0", "1", "3"]},
+    "evolve": {"--u": ["-1", "0", "0.1", "1"], "--eta": ["-1", "0", "0.5"],
+               "--tmax": ["-1", "0", "0.5"], "--points": ["-1", "0", "1", "3"],
+               "--ntrunc": ["-1", "0", "1", "5"], "--dt-tol": ["-1", "0", "1e-6"]},
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+    argv = draw(st.sampled_from([[], ["--workers", "0"], ["--workers", "1"]])) + [command]
+    for flag, values in _FLAG_VALUES[command].items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        argv.append("--no-such-flag")
+    return argv
+
+
+@given(cli_argvs())
+@settings(max_examples=80, deadline=None)
+def test_every_command_line_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            code = main(["--out", out] + argv)
+        except SystemExit as e:   # argparse rejects the command line with code 2
+            code = e.code
+    assert code in (0, 2, 3, 4)
+
+
 def test_validation_exit_code(tmp_path):
     assert main(["--out", str(tmp_path), "evolve", "--u", "1.5"]) == 2
 
@@ -156,6 +203,13 @@ def test_large_n_dissipative_arnoldi(tmp_path):
 def test_large_n_tree_cap_exit_code(tmp_path):
     assert main(["--out", str(tmp_path), "large-n", "--q", "4",
                  "--nmax", "12", "--max-trees", "50"]) == 3
+
+
+def test_large_n_tree_memory_estimate_exit_code(tmp_path, monkeypatch):
+    # a next generation projected past the available memory is never built
+    monkeypatch.setattr(trees, "TREE_BYTES", 2 ** 60)
+    assert main(["--out", str(tmp_path), "large-n", "--q", "4", "--nmax", "6"]) == 3
+    assert not list(tmp_path.iterdir())
 
 
 def test_meixner_curves(tmp_path):

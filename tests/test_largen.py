@@ -9,7 +9,6 @@ from dsyk.errors import NormalizationError, ValidationError
 from dsyk.krylov import lanczos
 from dsyk.largen import (
     DiagramSpace,
-    DiagramState,
     hamiltonian_apply,
     l_minus_apply,
     l_plus_apply,
@@ -17,7 +16,8 @@ from dsyk.largen import (
     make_dissipative_apply,
     size_distribution,
 )
-from dsyk.trees import TreeSpace, linear_extensions
+from dsyk.trees import TreeSpace
+from oracles import linear_extensions, nested_tree
 
 
 def test_space_validation():
@@ -41,7 +41,8 @@ def test_l_plus_coefficients_are_building_order_counts():
     state = sp.root_state()
     for _ in range(5):
         state = l_plus_apply(state)
-    for enc, coeff in state.tree_terms().items():
+    for i, coeff in state.terms.items():
+        enc = nested_tree(sp.trees, i)
         assert coeff == linear_extensions(enc)
 
 
@@ -61,15 +62,12 @@ def test_central_contraction_identity_small(n):
 def random_states(draw, q, n_steps=4):
     sp = DiagramSpace(q=q, exact=True)
     terms = {}
-    frontier = [TreeSpace.ROOT]
-    for _ in range(n_steps):
-        frontier = sorted({s for i in frontier for s in sp.trees.successors(i)})
-    pool = frontier[:6]
+    pool = sp.trees.ids(1 + n_steps)[:6]
     for i in pool:
         c = draw(st.integers(min_value=-3, max_value=3))
         if c:
             terms[i] = Fraction(c)
-    return sp, DiagramState(sp, terms)
+    return sp, sp.state(terms)
 
 
 @given(random_states(q=4), st.data())
@@ -78,10 +76,10 @@ def test_l_minus_is_adjoint_of_l_plus(sp_state, data):
     sp, state = sp_state
     other_terms = {i: Fraction(data.draw(st.integers(min_value=-3, max_value=3)))
                    for i in list(state.terms)[:3]}
-    grown = l_plus_apply(DiagramState(sp, other_terms))
+    grown = l_plus_apply(sp.state(other_terms))
     lhs = grown.inner(state * Fraction(1))
     # <L_+ x, y> = <x, L_- y> exactly
-    rhs = DiagramState(sp, other_terms).inner(l_minus_apply(state))
+    rhs = sp.state(other_terms).inner(l_minus_apply(state))
     assert lhs == rhs
 
 
@@ -116,9 +114,9 @@ def test_finite_q_first_coefficients_exact():
 
 
 def test_float_lanczos_agrees_with_exact_squares():
-    exact, _ = exact_chain(4, 8)
-    coeffs, _ = lanczos_large_n(4, 8)
-    assert len(coeffs.b_sq) == len(exact.b_sq) == 8
+    exact, _ = exact_chain(4, 12)
+    coeffs, _ = lanczos_large_n(4, 12)
+    assert len(coeffs.b_sq) == len(exact.b_sq) == 12
     for bv, ref in zip(coeffs.b_sq, exact.b_sq):
         assert bv == pytest.approx(float(ref), rel=1e-12)
 
@@ -163,6 +161,12 @@ def test_dissipative_apply_adds_diagonal():
 def test_dissipative_apply_needs_finite_q():
     with pytest.raises(ValidationError):
         make_dissipative_apply(DiagramSpace(q=None), 0.1)
+
+
+def test_q4_tree_count_to_fifteen_arcs():
+    # generations 0..15 at q = 4: the bare fermion plus 80,919 trees
+    _, basis = lanczos_large_n(4, 15)
+    assert len(basis[-1].space.trees) == 80_920
 
 
 def test_lanczos_large_n_hermitian_path():

@@ -18,10 +18,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# one tiny solve per benchmark workload, in its subcommands' order
+# one tiny solve per benchmark workload, in its subcommands' order, plus the
+# complex dissipative Arnoldi on diagram states
 ARGVS = [
     ["finite-n-arnoldi", "--n", "8", "--mu", "0.02", "--nmax", "4"],
     ["large-n", "--q", "4", "--nmax", "6"],
+    ["large-n", "--q", "4", "--mu", "0.02", "--nmax", "4"],
     ["large-n", "--q-inf", "--nmax", "5"],
     ["moments", "--nmax", "8"],
     ["evolve", "--u", "0.1", "--tmax", "1", "--points", "5"],

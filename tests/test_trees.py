@@ -1,4 +1,4 @@
-"""Canonical tree encoding, counting functions, and the TreeSpace registry."""
+"""Nested-tuple tree combinatorics, and the integer-id TreeSpace against them."""
 
 import math
 from fractions import Fraction
@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsyk.errors import ResourceLimitError
-from dsyk.trees import (
-    TreeSpace,
+from dsyk.trees import TREE_BYTES, TreeSpace
+from oracles import (
+    attach_counts,
     attachments,
     automorphisms,
+    brute_linear_extensions,
     canonical,
     enumerate_trees,
     leaf_removals,
     linear_extensions,
     n_vertices,
+    nested_tree,
     slot_factor_product,
 )
-from oracles import brute_linear_extensions
+
+A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486]
 
 PATH3 = (((),),)
 CATERPILLAR4 = (((),), ())
@@ -138,25 +142,62 @@ def test_slot_factor_product_examples():
     assert slot_factor_product(((), (), (), ()), q) == 0  # no 4th slot at q=4
 
 
+def max_children(e):
+    return max([len(e)] + [max_children(c) for c in e]) if e else 0
+
+
 def test_treespace_interning_and_adjacency():
     sp = TreeSpace(q=4)
-    assert sp.n_arcs(TreeSpace.VACUUM) == 0
-    assert sp.n_arcs(TreeSpace.ROOT) == 1
-    assert sp.successors(TreeSpace.VACUUM) == (TreeSpace.ROOT,)
-    assert sp.predecessors(TreeSpace.ROOT) == ((TreeSpace.VACUUM, 1),)
+    assert sp.count(0) == sp.count(1) == 1
+    assert sp.successors(0) is sp.predecessors(1)
+    step = sp.successors(0)
+    assert [a.tolist() for a in step] == [[0], [0], [1], [1]]
     # cap: no vertex may exceed q-1 = 3 children
-    frontier = [TreeSpace.ROOT]
-    for _ in range(4):
-        frontier = sorted({s for i in frontier for s in sp.successors(i)})
-    for i in frontier:
-        def max_children(e):
-            return max([len(e)] + [max_children(c) for c in e]) if e else 0
-        assert max_children(sp.enc_of(i)) <= 3
+    assert all(max_children(nested_tree(sp, i)) <= 3 for i in sp.ids(7))
+    assert sp.generation_of(sp.ids(7)[0]) == 7
+
+
+def test_tree_counts_uncapped_are_a000081():
+    sp = TreeSpace(q=None)
+    assert [sp.count(n) for n in range(1, len(A000081) + 1)] == A000081
+
+
+@pytest.mark.parametrize("q", [4, 6, None])
+def test_id_graph_matches_nested_tuple_oracle(q):
+    # every tree up to 9 arcs: the generation is the oracle's set of trees,
+    # each successor set, attach count, removal multiplicity, |Aut| and slot
+    # product agree
+    sp = TreeSpace(q=q)
+    cap = None if q is None else q - 1
+    for n in range(1, 10):
+        encs = [nested_tree(sp, i) for i in sp.ids(n)]
+        assert sorted(encs) == enumerate_trees(n, cap)
+        for i, enc in zip(sp.ids(n), encs):
+            assert sp.aut[i] == automorphisms(enc)
+            if q is not None:
+                assert sp.slot[i] == slot_factor_product(enc, q)
+        if n == 9:
+            break
+        step = sp.successors(n)
+        succ = {}
+        for t, s, a, m in zip(*(v.tolist() for v in step)):
+            s_enc = nested_tree(sp, sp.ids(n + 1)[s])
+            succ.setdefault(encs[t], set()).add(s_enc)
+            assert a == attach_counts(encs[t], cap)[s_enc]
+            assert m == dict(leaf_removals(s_enc))[encs[t]]
+        assert succ == {enc: set(attachments(enc, cap)) for enc in encs}
 
 
 def test_treespace_resource_cap():
     sp = TreeSpace(q=None, max_trees=10)
-    frontier = [TreeSpace.ROOT]
     with pytest.raises(ResourceLimitError):
-        for _ in range(6):
-            frontier = sorted({s for i in frontier for s in sp.successors(i)})
+        sp.count(6)
+
+
+def test_next_generation_memory_estimate():
+    # TREE_BYTES per tree of the next generation, projected from the growth
+    # ratio of the last step; A000081(11) = 1842 against 719^2 // 286 = 1807
+    sp = TreeSpace(q=None)
+    sp.count(10)
+    assert sp.next_generation_bytes() == TREE_BYTES * (719 ** 2 // 286)
+    assert abs(sp.next_generation_bytes() / (TREE_BYTES * sp.count(11)) - 1) < 0.02
