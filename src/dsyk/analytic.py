@@ -53,18 +53,6 @@ def meixner_tridiagonal(p: MeixnerParams, n_max: int) -> TridiagonalCoeffs:
     return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq)
 
 
-def meixner_tridiagonal_exact(u, eta, n_max: int) -> TridiagonalCoeffs:
-    """Exact-arithmetic chain coefficients; u, eta should be sympy Rationals."""
-    import sympy as sp
-
-    u = sp.nsimplify(u, rational=True)
-    eta = sp.nsimplify(eta, rational=True)
-    a = [sp.I * u * (2 * n + eta) for n in range(n_max + 1)]
-    b_sq = [(1 - u ** 2) * n * (n - 1 + eta) for n in range(1, n_max + 1)]
-    b = [sp.sqrt(v) for v in b_sq]
-    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq)
-
-
 def g_function(t, j_script=1.0, mu_tilde=0.0):
     """Autocorrelation exponent g(t) = log[alpha^2/(J^2 cosh^2(alpha t + gamma))].
 
@@ -111,18 +99,6 @@ def k_complexity_exact(t, p: MeixnerParams):
     """K(t) = eta (1-u^2) tanh^2 t / (1 + 2u tanh t - (1-2u^2) tanh^2 t)."""
     th = np.tanh(np.asarray(t, dtype=float))
     out = p.eta * (1.0 - p.u ** 2) * th ** 2 / _denominator(th, p.u)
-    return out if out.shape else float(out)
-
-
-def k_complexity_partition(t, p: MeixnerParams):
-    """K(t) via the partition-function route d/dy log sum e^(yn) (eta)_n/n!.
-
-    The sum is (1-e^y)^(-eta) at e^(y0) = (1-u^2)(tanh t/(1+u tanh t))^2,
-    giving K = eta e^(y0)/(1 - e^(y0)); must agree with the rational form.
-    """
-    th = np.tanh(np.asarray(t, dtype=float))
-    ey = (1.0 - p.u ** 2) * (th / (1.0 + p.u * th)) ** 2
-    out = p.eta * ey / (1.0 - ey)
     return out if out.shape else float(out)
 
 

@@ -12,6 +12,7 @@ contract violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .errors import (
     FitError, NumericalContractError, ResourceLimitError, ValidationError)
 from .majorana import OperatorVector, sample_syk
 from .lindblad import DissipativeModel, lindbladian_apply
-from .krylov import arnoldi, diagonal_slope_fit, hessenberg_error
+from .krylov import diagonal_slope_fit, hessenberg_error, lanczos
 from .largen import (
     DiagramSpace,
     lanczos_large_n,
@@ -41,6 +42,10 @@ from .analytic import (
     variance_exact,
 )
 from .dynamics import evolve_chain, k_complexity_numeric, meixner_n_trunc
+
+# the Hessenberg (Arnoldi) mode of the one Krylov driver; bench/spans.py
+# traces the finite-N and dissipative large-N runs under this name
+arnoldi = functools.partial(lanczos, hermitian=False)
 
 
 def _out_dir(args):
@@ -75,13 +80,13 @@ def _manifest(args, **extra):
 # finite-n-arnoldi
 
 
-def _run_finite_n(n, q, coupling, mu, seed, n_max, reorth, out_dir, args_ns):
+def _run_finite_n(n, q, coupling, mu, seed, n_max, out_dir, args_ns):
     model = DissipativeModel(hamiltonian=sample_syk(n, q, coupling, seed), mu=mu)
     o0 = OperatorVector.basis_string(n, 1 << 0)
-    hm, _ = arnoldi(lambda v: lindbladian_apply(model, v), o0, n_max, reorth=reorth)
+    hm, _ = arnoldi(lambda v: lindbladian_apply(model, v), o0, n_max)
     eps = hessenberg_error(hm)
     manifest = _manifest(args_ns, n=n, q=q, coupling=coupling, mu=mu, seed=seed,
-                         n_max=n_max, reorth=reorth, rng="numpy PCG64",
+                         n_max=n_max, reorth=True, rng="numpy PCG64",
                          basis_dim=hm.basis_dim)
     tag = f"N{n}_q{q}_mu{mu}_seed{seed}"
     _write_hessenberg_csv(out_dir / f"hessenberg_{tag}.csv", manifest, hm)
@@ -146,8 +151,8 @@ def cmd_finite_n_arnoldi(args):
             f"({concurrent} run(s) of {args.nmax + 6} operators of 2^N complex entries); "
             f"{free / 2 ** 30:.1f} GiB is available")
     out_dir = _out_dir(args)
-    jobs = [(args.n, args.q, args.coupling, args.mu, s, args.nmax,
-             not args.no_reorth, out_dir, args) for s in seeds]
+    jobs = [(args.n, args.q, args.coupling, args.mu, s, args.nmax, out_dir, args)
+            for s in seeds]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:
             tags = list(ex.map(_run_finite_n_star, jobs))
@@ -174,7 +179,7 @@ def cmd_large_n(args):
             raise ValidationError("dissipative large-N Arnoldi needs a finite --q")
         space = DiagramSpace(q=q, max_trees=args.max_trees)
         apply = make_dissipative_apply(space, args.mu)
-        hm, _ = arnoldi(apply, space.vacuum_state(), args.nmax, reorth=True)
+        hm, _ = arnoldi(apply, space.vacuum_state(), args.nmax)
         eps = hessenberg_error(hm)
         manifest = _manifest(args, q=q, mu=args.mu, n_max=args.nmax,
                              j_sq=float(space.j_sq), reorth=True,
@@ -304,8 +309,6 @@ def build_parser():
     p.add_argument("--seed", type=int, action="append",
                    help="disorder seed (repeatable; default 1)")
     p.add_argument("--nmax", type=int, default=40, help="Krylov steps")
-    p.add_argument("--no-reorth", action="store_true",
-                   help="disable full reorthogonalization")
     p.set_defaults(func=cmd_finite_n_arnoldi)
 
     p = sub.add_parser("large-n", help="large-N diagrammatic Lanczos/Arnoldi")

@@ -1,12 +1,15 @@
-"""Arnoldi iteration and the monic Lanczos recurrence over abstract operator spaces.
+"""One monic Krylov recurrence over abstract operator spaces.
 
-The routines only need the vector operations +, -, scalar *, and an inner
-product, so they run unchanged over numpy arrays, Jordan-Wigner Majorana
-operators, and large-N diagram states; Lanczos also over exact rational
-diagram states.  Full reorthogonalization is on by default in Arnoldi and
-always on in Lanczos: the structural diagnostics (the per-column deviation
-from a symmetric tridiagonal matrix) are meaningless under Gram-Schmidt
-drift.
+``lanczos`` needs only the vector operations +, -, scalar * and an inner
+product, so it runs unchanged over numpy arrays, Jordan-Wigner Majorana
+operators, float diagram states and exact rational diagram states.  Each
+step projects the new vector on the whole basis and then reorthogonalizes
+it once more: the structural diagnostics (the per-column deviation from a
+symmetric tridiagonal matrix) are meaningless under Gram-Schmidt drift.
+What the loop records depends on the map: for a Hermitian map the
+tridiagonal chain coefficients a_n, b_n^2 (TridiagonalCoeffs), for a
+general map, such as the Lindbladian, the Hessenberg matrix of all the
+projections (HessenbergMatrix), which is what Arnoldi iteration computes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, NormalizationError, NumericalContractError
+from .errors import FitError, NumericalContractError
 
 
 def _dot(a, b):
@@ -25,14 +28,6 @@ def _dot(a, b):
     if isinstance(a, np.ndarray):
         return np.vdot(a, b)
     return a.inner(b)
-
-
-def _inner(a, b):
-    return complex(_dot(a, b))
-
-
-def _norm(v):
-    return float(np.sqrt(abs(_inner(v, v).real)))
 
 
 def _axpy(u, c, v):
@@ -49,11 +44,11 @@ def _axpy(u, c, v):
 
 @dataclass
 class HessenbergMatrix:
-    """Upper Hessenberg matrix from Arnoldi, plus the achieved basis size.
+    """Upper Hessenberg matrix in the orthonormal Krylov basis, plus its size.
 
     h is (n_max+1) x (n_max+1); columns at index >= basis_dim are zero when
-    the Krylov space closed early.  Subdiagonal entries are real >= 0 by the
-    Arnoldi normalization.
+    the Krylov space closed early.  Subdiagonal entries are real >= 0, the
+    ratios of consecutive basis norms.
     """
 
     h: np.ndarray
@@ -93,57 +88,32 @@ class TridiagonalCoeffs:
         return np.asarray([complex(x) for x in self.b])
 
 
-def arnoldi(apply, o0, n_max, reorth=True, breakdown_rtol=1e-10):
-    """Arnoldi iteration: returns (HessenbergMatrix, orthonormal basis).
+def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True,
+            hermiticity_rtol=1e-8, breakdown_rtol=1e-10):
+    """Krylov recurrence of Hermitian (Lanczos) or general (Arnoldi) maps.
 
-    apply is any linear map on the vector type of o0.  Breakdown (the
-    Krylov space closing) is reported through basis_dim, not an error.
-    """
-    if abs(_norm(o0) - 1.0) > 1e-12:
-        raise NormalizationError(f"initial operator has norm {_norm(o0)!r}, expected 1")
-    h = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    basis = [o0]
-    scale = None
-    for k in range(1, n_max + 1):
-        u = apply(basis[k - 1])
-        if scale is None:
-            scale = max(_norm(u), 1e-300)
-        coeffs = [_inner(v, u) for v in basis]
-        for j, (v, c) in enumerate(zip(basis, coeffs)):
-            h[j, k - 1] = c
-            u = _axpy(u, -c, v)
-        if reorth:
-            for j, v in enumerate(basis):
-                c = _inner(v, u)
-                h[j, k - 1] += c
-                u = _axpy(u, -c, v)
-        beta = _norm(u)
-        if beta < breakdown_rtol * scale:
-            return HessenbergMatrix(h=h, basis_dim=k), basis
-        h[k, k - 1] = beta
-        basis.append(u * (1.0 / beta))
-    # one more column of projections so the last diagonal entry is filled
-    u = apply(basis[n_max])
-    for j, v in enumerate(basis):
-        h[j, n_max] = _inner(v, u)
-    return HessenbergMatrix(h=h, basis_dim=n_max + 1), basis
+    Returns (coefficients, basis).  u_(k+1) = L u_k - sum_(j<=k) c_jk u_j,
+    with c_jk = <u_j, L u_k>/h_j and h_k = <u_k, u_k>; u0 need not have
+    unit norm.
 
-
-def lanczos(apply, u0, n_max, last_diagonal=True, hermiticity_rtol=1e-8,
-            breakdown_rtol=1e-10):
-    """Monic Hermitian three-term recurrence; returns (TridiagonalCoeffs, basis).
-
-    u_(k+1) = L u_k - a_k u_k - b_k^2 u_(k-1), with a_k = <u_k, L u_k>/h_k,
-    b_(k+1)^2 = h_(k+1)/h_k and h_k = <u_k, u_k>.  No square roots are
-    taken, so the recurrence runs unchanged in any scalar ring the vector
-    type uses: floats, complex numbers or exact Fractions.  The basis is
-    returned monic (unnormalized) and u0 need not have unit norm.
-
-    Full reorthogonalization is always applied.  An exact (rational)
-    projection coefficient must vanish, and a nonzero one raises, so in
-    Fraction arithmetic orthogonality is asserted rather than assumed.
+    hermitian=True runs the monic three-term form
+    u_(k+1) = L u_k - a_k u_k - b_k^2 u_(k-1), a_k = c_kk and
+    b_(k+1)^2 = h_(k+1)/h_k, and returns TridiagonalCoeffs and the monic
+    basis.  No square roots are taken, so it runs unchanged in any scalar
+    ring the vector type uses: floats, complex numbers or exact Fractions.
     Non-Hermiticity is detected from a complex a_k and from the overlap
     <u_(k-1), L u_k>, which for a Hermitian map equals h_k.
+    hermitian=False records every c_jk and divides each new vector by
+    b_(k+1), so that the whole basis keeps the norm of u0: monic norms,
+    products of the b_k^2, leave the float range within a few hundred
+    steps.  It returns the HessenbergMatrix (c_jk) of the normalized basis,
+    with subdiagonal b_(k+1), and that basis times |u0|.  Breakdown (the
+    Krylov space closing) ends the loop early, not with an error.
+
+    Full reorthogonalization is always applied; its corrections add to the
+    recorded c_jk.  An exact (rational) projection coefficient must vanish,
+    and a nonzero one raises, so in Fraction arithmetic orthogonality is
+    asserted rather than assumed.
     last_diagonal=False skips the final application of the map, recording
     a_n_max = 0 instead; appropriate for maps that change a conserved
     grading by one, where every diagonal element vanishes identically
@@ -153,6 +123,7 @@ def lanczos(apply, u0, n_max, last_diagonal=True, hermiticity_rtol=1e-8,
     norms = [_dot(u0, u0).real]
     a = []
     b_sq = []
+    proj = np.zeros((n_max + 1, n_max + 1), dtype=complex)   # c_jk
     scale = None
     for k in range(n_max + 1):
         if k == n_max and not last_diagonal:
@@ -162,25 +133,31 @@ def lanczos(apply, u0, n_max, last_diagonal=True, hermiticity_rtol=1e-8,
         h = norms[k]
         if scale is None:
             scale = max(math.sqrt(abs(_dot(u, u)) / abs(h)), 1e-300)
-        ak = _dot(basis[k], u) / h
-        if abs(ak.imag) > hermiticity_rtol * scale:
-            raise NumericalContractError(
-                f"non-Hermitian map: a_{k} = {ak} has large imaginary part")
-        a.append(ak.real)
-        if k > 0:
-            # |back - h_k| <= rtol * scale * sqrt(h_k h_(k-1)), divided by h_k
-            # so that it still holds where the norms, which shrink
-            # geometrically at large q, underflow
-            back = _dot(basis[k - 1], u)
-            if abs(back / h - 1) > hermiticity_rtol * scale / math.sqrt(abs(b_sq[-1])):
+        if hermitian:
+            ak = _dot(basis[k], u) / h
+            if abs(ak.imag) > hermiticity_rtol * scale:
                 raise NumericalContractError(
-                    f"non-Hermitian map: back-coupling {back} != h_{k} = {h}")
-            u = _axpy(u, -b_sq[-1], basis[k - 1])
-        u = _axpy(u, -a[-1], basis[k])
-        for v, hv in zip(basis, norms):
+                    f"non-Hermitian map: a_{k} = {ak} has large imaginary part")
+            a.append(ak.real)
+            if k > 0:
+                # |back - h_k| <= rtol * scale * sqrt(h_k h_(k-1)), divided by h_k
+                # so that it still holds where the norms, which shrink
+                # geometrically at large q, underflow
+                back = _dot(basis[k - 1], u)
+                if abs(back / h - 1) > hermiticity_rtol * scale / math.sqrt(abs(b_sq[-1])):
+                    raise NumericalContractError(
+                        f"non-Hermitian map: back-coupling {back} != h_{k} = {h}")
+                u = _axpy(u, -b_sq[-1], basis[k - 1])
+            u = _axpy(u, -a[-1], basis[k])
+        else:
+            proj[: k + 1, k] = [_dot(v, u) / hv for v, hv in zip(basis, norms)]
+            for v, c in zip(basis, proj[: k + 1, k]):
+                u = _axpy(u, -c, v)
+        for j, (v, hv) in enumerate(zip(basis, norms)):
             c = _dot(v, u) / hv
             if not isinstance(c, numbers.Rational):
                 u = _axpy(u, -c, v)
+                proj[j, k] += c
             elif c:
                 raise NumericalContractError(
                     f"monic recurrence lost exact orthogonality at step {k}")
@@ -190,8 +167,15 @@ def lanczos(apply, u0, n_max, last_diagonal=True, hermiticity_rtol=1e-8,
         if h_next / h <= (breakdown_rtol * scale) ** 2:
             break
         b_sq.append(h_next / h)
+        if not hermitian:
+            u = u * (1.0 / math.sqrt(b_sq[-1]))
+            h_next = h
         basis.append(u)
         norms.append(h_next)
+    if not hermitian:
+        d = len(basis)
+        proj[np.arange(1, d), np.arange(d - 1)] = np.sqrt(b_sq)
+        return HessenbergMatrix(h=proj, basis_dim=d), basis
     b = [math.sqrt(float(x)) for x in b_sq]
     return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq), basis
 

@@ -11,6 +11,9 @@ from math import factorial
 
 import numpy as np
 import scipy.linalg
+import sympy as sp
+
+from dsyk.krylov import TridiagonalCoeffs
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -288,6 +291,29 @@ def direct_k_and_variance(phi):
     k = (ns * w).sum() / z
     var = ((ns - k) ** 2 * w).sum() / z
     return k, var
+
+
+def meixner_tridiagonal_exact(u, eta, n_max: int) -> TridiagonalCoeffs:
+    """Exact-arithmetic Meixner chain coefficients; u, eta as sympy Rationals."""
+    u = sp.nsimplify(u, rational=True)
+    eta = sp.nsimplify(eta, rational=True)
+    a = [sp.I * u * (2 * n + eta) for n in range(n_max + 1)]
+    b_sq = [(1 - u ** 2) * n * (n - 1 + eta) for n in range(1, n_max + 1)]
+    b = [sp.sqrt(v) for v in b_sq]
+    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq)
+
+
+def k_complexity_partition(t, p):
+    """K(t) via the partition-function route d/dy log sum e^(yn) (eta)_n/n!.
+
+    The sum is (1-e^y)^(-eta) at e^(y0) = (1-u^2)(tanh t/(1+u tanh t))^2,
+    giving K = eta e^(y0)/(1 - e^(y0)); must agree with the rational form
+    analytic.k_complexity_exact.  p is a MeixnerParams.
+    """
+    th = np.tanh(np.asarray(t, dtype=float))
+    ey = (1.0 - p.u ** 2) * (th / (1.0 + p.u * th)) ** 2
+    out = p.eta * ey / (1.0 - ey)
+    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------

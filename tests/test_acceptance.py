@@ -22,7 +22,8 @@ from dsyk.analytic import (
     variance_saturation,
 )
 from dsyk.dynamics import evolve_chain, k_complexity_numeric, meixner_n_trunc
-from dsyk.krylov import TridiagonalCoeffs, arnoldi, diagonal_slope_fit, hessenberg_error
+from dsyk.cli import arnoldi
+from dsyk.krylov import TridiagonalCoeffs, diagonal_slope_fit, hessenberg_error
 from dsyk.largen import (
     DiagramSpace,
     l_minus_apply,

@@ -13,16 +13,15 @@ from dsyk.analytic import (
     continuum_prediction,
     g_function,
     k_complexity_exact,
-    k_complexity_partition,
     k_saturation,
     meixner_tridiagonal,
-    meixner_tridiagonal_exact,
     meixner_wavefunction,
     tail_decay_rate,
     variance_exact,
     variance_saturation,
 )
 from dsyk.errors import ValidationError
+from oracles import k_complexity_partition, meixner_tridiagonal_exact
 
 us = st.floats(min_value=0.0, max_value=0.9, allow_nan=False)
 etas = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)

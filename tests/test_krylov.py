@@ -1,4 +1,4 @@
-"""Arnoldi/Lanczos builders on dense matrices vs a textbook oracle."""
+"""The Krylov driver's two modes on dense matrices vs a textbook oracle."""
 
 from fractions import Fraction
 
@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsyk.errors import FitError, NormalizationError, NumericalContractError
+from dsyk.cli import arnoldi
+from dsyk.errors import FitError, NumericalContractError
 from dsyk.krylov import (
     HessenbergMatrix,
     TridiagonalCoeffs,
-    arnoldi,
     diagonal_slope_fit,
     hessenberg_error,
     lanczos,
@@ -45,14 +45,24 @@ def test_arnoldi_matches_dense_oracle(seed):
 def test_arnoldi_basis_orthonormal(seed):
     mat = random_hermitian(10, seed)
     _, basis = arnoldi(lambda v: mat @ v, random_start(10, seed), 9)
+    basis = [v / np.linalg.norm(v) for v in basis]
     g = np.array([[np.vdot(u, v) for v in basis] for u in basis])
     assert np.max(np.abs(g - np.eye(len(basis)))) < 1e-12
 
 
-def test_arnoldi_requires_unit_norm():
-    mat = np.eye(3, dtype=complex)
-    with pytest.raises(NormalizationError):
-        arnoldi(lambda v: mat @ v, np.array([2.0, 0, 0], dtype=complex), 2)
+def test_arnoldi_start_norm_does_not_matter():
+    # a non-normal map (upper triangle added to a complex symmetric one):
+    # the Hessenberg matrix belongs to the normalized basis, whatever the
+    # norm of the start
+    rng = np.random.default_rng(11)
+    mat = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    mat = mat + mat.T + np.triu(rng.normal(size=(10, 10)), 1)
+    assert np.linalg.norm(mat @ mat.conj().T - mat.conj().T @ mat) > 1.0
+    v0 = random_start(10, 11)
+    hm1, _ = arnoldi(lambda v: mat @ v, v0, 8)
+    hm3, _ = arnoldi(lambda v: mat @ v, 3.0 * v0, 8)
+    assert hm1.basis_dim == hm3.basis_dim == 9
+    assert np.max(np.abs(hm1.h - hm3.h)) < 1e-12
 
 
 def test_arnoldi_reports_breakdown_via_basis_dim():

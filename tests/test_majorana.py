@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsyk.errors import IncompatibleOperatorsError, ValidationError
-from dsyk.krylov import arnoldi
+from dsyk.cli import arnoldi
 from dsyk.lindblad import DissipativeModel, lindbladian_apply
 from dsyk.majorana import OperatorVector, liouvillian_apply, sample_syk
 from oracles import (
