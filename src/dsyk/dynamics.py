@@ -51,9 +51,10 @@ def evolve_chain(c: TridiagonalCoeffs, t_grid, n_trunc=None, rtol=1e-11,
                  atol=1e-13, spill_tol=DEFAULT_SPILL_TOL, raise_on_spill=True):
     """Integrate the chain ODE over an increasing grid starting at 0.
 
-    Returns one ChainState per grid time.  If the boundary amplitude ever
-    exceeds spill_tol relative to the peak, the run is truncation
-    contaminated: an error by default, or flagged states with
+    The state has the dtype of i a_n and b_n: real for the Meixner chains,
+    complex otherwise.  Returns one ChainState per grid time.  If the
+    boundary amplitude ever exceeds spill_tol relative to the peak, the run
+    is truncation contaminated: an error by default, or flagged states with
     raise_on_spill=False.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -65,20 +66,18 @@ def evolve_chain(c: TridiagonalCoeffs, t_grid, n_trunc=None, rtol=1e-11,
     if len(c.a) < n_trunc + 1 or len(c.b) < n_trunc:
         raise ValidationError(
             f"coefficients cover n <= {len(c.a) - 1}, need n_trunc={n_trunc}")
-    ia = 1j * c.a_array()[: n_trunc + 1]
+    ia = np.real_if_close(1j * c.a_array()[: n_trunc + 1])
     b = np.real_if_close(c.b_array()[:n_trunc])
     if np.iscomplexobj(b):
         raise ValidationError("chain ODE requires real b_n")
-    m = n_trunc + 1
 
-    def rhs(_, y):
-        phi = y[:m] + 1j * y[m:]
+    def rhs(_, phi):
         d = ia * phi
         d[:-1] -= b * phi[1:]
         d[1:] += b * phi[:-1]
-        return np.concatenate([d.real, d.imag])
+        return d
 
-    y0 = np.zeros(2 * m)
+    y0 = np.zeros(n_trunc + 1, dtype=np.result_type(ia, b))
     y0[0] = 1.0
     if t_grid.size == 1:
         sols = y0[:, None]
@@ -90,8 +89,7 @@ def evolve_chain(c: TridiagonalCoeffs, t_grid, n_trunc=None, rtol=1e-11,
         sols = res.y
     states = []
     for i, t in enumerate(t_grid):
-        phi = sols[:m, i] + 1j * sols[m:, i]
-        st = ChainState(phi=phi, t=float(t))
+        st = ChainState(phi=sols[:, i], t=float(t))
         if st.spill > spill_tol:
             if raise_on_spill:
                 raise TruncationError(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dsyk import dynamics
 from dsyk.analytic import MeixnerParams, meixner_tridiagonal, meixner_wavefunction
 from dsyk.dynamics import (
     ChainState,
@@ -50,17 +51,26 @@ def test_complex_b_rejected():
         evolve_chain(c, [0.0, 0.1])
 
 
-@pytest.mark.parametrize("u", [0.0, 0.2])
-def test_evolution_matches_matrix_exponential(u):
-    c = toy_chain(30, u=u, eta=1.5)
+def random_complex_chain(n=30, seed=5):
+    """Seeded a_n with real and imaginary parts, so i a_n is complex; real b_n."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 0.5, n + 1) + 1j * rng.uniform(0.0, 0.5, n + 1)
+    return TridiagonalCoeffs(a=list(a), b=list(rng.uniform(0.5, 1.5, n)))
+
+
+@pytest.mark.parametrize("c, dtype", [
+    (toy_chain(30, u=0.0, eta=1.5), np.float64),
+    (toy_chain(30, u=0.2, eta=1.5), np.float64),
+    (random_complex_chain(), np.complex128),
+], ids=["0.0", "0.2", "complex"])
+def test_evolution_matches_matrix_exponential(c, dtype):
     grid = [0.0, 0.5, 1.0, 1.5]
     # the expm oracle lives on the same truncated chain, so boundary spill
     # is irrelevant to this comparison
     states = evolve_chain(c, grid, raise_on_spill=False)
-    a = np.imag(c.a_array())  # chain a_n = i * (this)
-    b = np.real(c.b_array())
     for st in states:
-        ref = chain_evolution_expm(1j * a, b, st.t)
+        assert st.phi.dtype == dtype
+        ref = chain_evolution_expm(c.a_array(), np.real(c.b_array()), st.t)
         assert np.max(np.abs(st.phi - ref)) < 1e-9
 
 
@@ -73,7 +83,23 @@ def test_evolution_matches_meixner_closed_form():
     for st in states:
         ref = meixner_wavefunction(np.arange(n_trunc + 1), st.t, p)
         # chain amplitudes are real and positive in this convention
+        assert st.phi.dtype == np.float64
         assert np.max(np.abs(st.phi - ref)) < 1e-9
+
+
+def test_meixner_ode_state_has_one_real_entry_per_site(monkeypatch):
+    starts = []
+    solve = dynamics.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        starts.append(y0)
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", recording)
+    evolve_chain(toy_chain(30, u=0.1), [0.0, 0.5], n_trunc=20, raise_on_spill=False)
+    (y0,) = starts
+    assert y0.shape == (21,)
+    assert y0.dtype == np.float64
 
 
 def test_spill_raises_or_flags():
