@@ -2,8 +2,8 @@
 
 The solvable chain has b_n^2 = (1-u^2) n (n-1+eta), a_n = i u (2n+eta)
 (Meixner polynomial coefficients); for SYK eta = 2/q and 2u = mu_tilde.
-This module provides the autocorrelation g(t), the exact wavefunction,
-K-complexity and variance, and the continuum crossover predictions.
+This module provides the chain coefficients, the exact wavefunction,
+K-complexity and variance, and their saturation values.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class MeixnerParams:
         return 1.0 - self.u ** 2
 
     @property
-    def chi_mu(self) -> float:
-        return 2.0 * self.u
-
-    @property
     def mu_tilde(self) -> float:
         return 2.0 * self.u
 
@@ -49,21 +45,7 @@ def meixner_tridiagonal(p: MeixnerParams, n_max: int) -> TridiagonalCoeffs:
     ns = np.arange(n_max + 1)
     a = list(1j * p.u * (2 * ns + p.eta))
     b_sq = [(1.0 - p.u ** 2) * n * (n - 1 + p.eta) for n in range(1, n_max + 1)]
-    b = [math.sqrt(v) for v in b_sq]
-    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq)
-
-
-def g_function(t, j_script=1.0, mu_tilde=0.0):
-    """Autocorrelation exponent g(t) = log[alpha^2/(J^2 cosh^2(alpha t + gamma))].
-
-    alpha = sqrt((mu_tilde/2)^2 + J^2) and gamma = arcsinh(mu_tilde/(2J))
-    make g(0) = 0.  Vectorized over t.
-    """
-    t = np.asarray(t, dtype=float)
-    alpha = math.sqrt((mu_tilde / 2.0) ** 2 + j_script ** 2)
-    gamma = math.asinh(mu_tilde / (2.0 * j_script))
-    out = np.log(alpha ** 2 / (j_script ** 2 * np.cosh(alpha * t + gamma) ** 2))
-    return out if out.shape else float(out)
+    return TridiagonalCoeffs(a=a, b_sq=b_sq)
 
 
 def meixner_wavefunction(n, t, p: MeixnerParams):
@@ -122,47 +104,3 @@ def variance_saturation(p: MeixnerParams) -> float:
     if p.u == 0.0:
         return math.inf
     return p.eta * (1.0 - p.u ** 2) / (4.0 * p.u ** 2)
-
-
-def tail_decay_rate(u: float) -> float:
-    """Stationary tail decay: |phi_n| ~ exp(-n ln((1+u)/sqrt(1-u^2))) * n^((eta-1)/2)."""
-    return math.log((1.0 + u) / math.sqrt(1.0 - u ** 2))
-
-
-@dataclass(frozen=True)
-class ContinuumParams:
-    """Continuum growth rate alpha and dissipation scale chi*mu."""
-
-    alpha: float
-    chi_mu: float
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValidationError(f"alpha={self.alpha} must be positive")
-        if self.chi_mu < 0.0:
-            raise ValidationError(f"chi_mu={self.chi_mu} must be >= 0")
-
-    @property
-    def xi(self) -> float:
-        """Stationary localization length 2 alpha/(chi mu)."""
-        if self.chi_mu == 0.0:
-            return math.inf
-        return 2.0 * self.alpha / self.chi_mu
-
-    @property
-    def t_star(self) -> float:
-        """Saturation time ln(2 alpha/(chi mu)) / (2 alpha)."""
-        if self.chi_mu == 0.0:
-            raise ValidationError("saturation time undefined at chi_mu = 0")
-        return math.log(2.0 * self.alpha / self.chi_mu) / (2.0 * self.alpha)
-
-
-def continuum_prediction(p: ContinuumParams, t):
-    """Reference crossover curve: e^(2 alpha t) capped at xi.
-
-    Asymptotic ("~") relation only; used for order-of-magnitude bands.
-    """
-    t = np.asarray(t, dtype=float)
-    growth = np.exp(2.0 * p.alpha * t)
-    out = growth if p.chi_mu == 0.0 else np.minimum(growth, p.xi)
-    return out if out.shape else float(out)

@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -80,13 +79,14 @@ def _manifest(args, **extra):
 # finite-n-arnoldi
 
 
-def _run_finite_n(n, q, coupling, mu, seed, n_max, out_dir, args_ns):
-    model = DissipativeModel(hamiltonian=sample_syk(n, q, coupling, seed), mu=mu)
+def _run_finite_n(args, seed, out_dir):
+    n, q, mu = args.n, args.q, args.mu
+    model = DissipativeModel(hamiltonian=sample_syk(n, q, args.coupling, seed), mu=mu)
     o0 = OperatorVector.basis_string(n, 1 << 0)
-    hm, _ = arnoldi(lambda v: lindbladian_apply(model, v), o0, n_max)
+    hm, _ = arnoldi(lambda v: lindbladian_apply(model, v), o0, args.nmax)
     eps = hessenberg_error(hm)
-    manifest = _manifest(args_ns, n=n, q=q, coupling=coupling, mu=mu, seed=seed,
-                         n_max=n_max, reorth=True, rng="numpy PCG64",
+    manifest = _manifest(args, n=n, q=q, coupling=args.coupling, mu=mu, seed=seed,
+                         n_max=args.nmax, reorth=True, rng="numpy PCG64",
                          basis_dim=hm.basis_dim)
     tag = f"N{n}_q{q}_mu{mu}_seed{seed}"
     _write_hessenberg_csv(out_dir / f"hessenberg_{tag}.csv", manifest, hm)
@@ -126,9 +126,9 @@ def finite_n_bytes(n, n_max):
 
 
 def _require_counts(*flags):
-    """Raise ValidationError for any (flag, value) count below 1 (None: unset)."""
+    """Raise ValidationError for any (flag, value) count below 1."""
     for flag, value in flags:
-        if value is not None and value < 1:
+        if value < 1:
             raise ValidationError(f"{flag} must be at least 1, got {value}")
 
 
@@ -141,29 +141,17 @@ def _require_positive(*flags):
 
 def cmd_finite_n_arnoldi(args):
     _require_counts(("--nmax", args.nmax))
-    seeds = args.seed or [1]
-    concurrent = min(max(args.workers, 1), len(seeds))
-    need = concurrent * finite_n_bytes(args.n, args.nmax)
+    need = finite_n_bytes(args.n, args.nmax)
     free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > free:
         raise ResourceLimitError(
             f"N={args.n} with --nmax {args.nmax} needs about {need / 2 ** 30:.1f} GiB "
-            f"({concurrent} run(s) of {args.nmax + 6} operators of 2^N complex entries); "
+            f"({args.nmax + 6} operators of 2^N complex entries); "
             f"{free / 2 ** 30:.1f} GiB is available")
     out_dir = _out_dir(args)
-    jobs = [(args.n, args.q, args.coupling, args.mu, s, args.nmax, out_dir, args)
-            for s in seeds]
-    if args.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            tags = list(ex.map(_run_finite_n_star, jobs))
-    else:
-        tags = [_run_finite_n(*j) for j in jobs]
-    for t in tags:
-        print(f"wrote hessenberg_{t}.csv, diagnostics_{t}.csv")
-
-
-def _run_finite_n_star(job):
-    return _run_finite_n(*job)
+    for seed in args.seed or [1]:
+        tag = _run_finite_n(args, seed, out_dir)
+        print(f"wrote hessenberg_{tag}.csv, diagnostics_{tag}.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +159,13 @@ def _run_finite_n_star(job):
 
 
 def cmd_large_n(args):
-    _require_counts(("--nmax", args.nmax), ("--max-trees", args.max_trees))
+    _require_counts(("--nmax", args.nmax))
     out_dir = _out_dir(args)
     q = None if args.q_inf else args.q
     if args.mu > 0:
         if q is None:
             raise ValidationError("dissipative large-N Arnoldi needs a finite --q")
-        space = DiagramSpace(q=q, max_trees=args.max_trees)
+        space = DiagramSpace(q=q)
         apply = make_dissipative_apply(space, args.mu)
         hm, _ = arnoldi(apply, space.vacuum_state(), args.nmax)
         eps = hessenberg_error(hm)
@@ -191,7 +179,7 @@ def cmd_large_n(args):
                   ["n", "eps"], erows)
         print(f"wrote largen_hessenberg_q{q}_mu{args.mu}.csv")
         return
-    coeffs, basis = lanczos_large_n(q, args.nmax, max_trees=args.max_trees)
+    coeffs, basis = lanczos_large_n(q, args.nmax)
     qlabel = "inf" if q is None else q
     manifest = _manifest(args, q=qlabel, n_max=args.nmax, mu=0.0,
                          exact=q is None, reorth=True)
@@ -261,11 +249,11 @@ def cmd_meixner(args):
 
 
 def cmd_evolve(args):
-    _require_counts(("--points", args.points), ("--ntrunc", args.ntrunc))
+    _require_counts(("--points", args.points))
     _require_positive(("--tmax", args.tmax), ("--dt-tol", args.dt_tol))
     out_dir = _out_dir(args)
     p = MeixnerParams(u=args.u, eta=args.eta)
-    n_trunc = args.ntrunc or meixner_n_trunc(p, args.tmax)
+    n_trunc = meixner_n_trunc(p, args.tmax)
     coeffs = meixner_tridiagonal(p, n_trunc + 1)
     ts = np.linspace(0.0, args.tmax, args.points)
     states = evolve_chain(coeffs, ts, n_trunc=n_trunc, rtol=args.dt_tol,
@@ -296,8 +284,6 @@ def build_parser():
                     "SYK model")
     ap.add_argument("--out", default=None,
                     help="output directory (default: $DSYK_OUT_DIR or .)")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="parallel workers for independent runs")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("finite-n-arnoldi",
@@ -318,8 +304,6 @@ def build_parser():
     p.add_argument("--mu", type=float, default=0.0,
                    help="dissipation strength (enables Arnoldi mode)")
     p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--max-trees", type=int, default=None,
-                   help="cap on the tree count (default: a memory estimate alone)")
     p.set_defaults(func=cmd_large_n)
 
     p = sub.add_parser("moments", help="exact large-q moment polynomials and "
@@ -342,7 +326,6 @@ def build_parser():
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--tmax", type=float, default=8.0)
     p.add_argument("--points", type=int, default=100)
-    p.add_argument("--ntrunc", type=int, default=None)
     p.add_argument("--dt-tol", type=float, default=1e-11,
                    help="relative integration tolerance")
     p.set_defaults(func=cmd_evolve)

@@ -15,7 +15,6 @@ from scipy.integrate import solve_ivp
 
 from .analytic import MeixnerParams, meixner_wavefunction
 from .errors import (
-    FitError,
     NumericalContractError,
     ResourceLimitError,
     TruncationError,
@@ -63,7 +62,7 @@ def evolve_chain(c: TridiagonalCoeffs, t_grid, n_trunc=None, rtol=1e-11,
         raise ValidationError("t_grid must be increasing and start at 0")
     if n_trunc is None:
         n_trunc = len(c.a) - 1
-    if len(c.a) < n_trunc + 1 or len(c.b) < n_trunc:
+    if len(c.a) < n_trunc + 1 or len(c.b_sq) < n_trunc:
         raise ValidationError(
             f"coefficients cover n <= {len(c.a) - 1}, need n_trunc={n_trunc}")
     ia = np.real_if_close(1j * c.a_array()[: n_trunc + 1])
@@ -110,27 +109,6 @@ def k_complexity_numeric(s: ChainState):
     k = float(np.dot(ns, w)) / z
     var = float(np.dot((ns - k) ** 2, w)) / z
     return k, var, z
-
-
-def stationary_tail_fit(s: ChainState, n_window, eta=None) -> float:
-    """Exponential decay length xi of |phi_n| over n in [n_lo, n_hi].
-
-    With eta supplied, the stationary n^((eta-1)/2) power-law prefactor is
-    divided out first.  The tail must be positive and strictly decreasing.
-    """
-    n_lo, n_hi = n_window
-    if not 0 <= n_lo < n_hi <= s.n_trunc:
-        raise FitError(f"window {n_window} outside chain range 0..{s.n_trunc}")
-    ns = np.arange(n_lo, n_hi + 1)
-    y = np.abs(s.phi[n_lo: n_hi + 1])
-    if np.any(y <= 0.0):
-        raise FitError("tail contains zero amplitudes")
-    if eta is not None:
-        y = y / ns.astype(float) ** ((eta - 1.0) / 2.0)
-    if np.any(np.diff(y) >= 0.0):
-        raise FitError("tail is not strictly decreasing; not in the stationary regime")
-    slope = np.polyfit(ns, np.log(y), 1)[0]
-    return -1.0 / float(slope)
 
 
 def meixner_n_trunc(p: MeixnerParams, t_max: float, spill_tol=DEFAULT_SPILL_TOL,

@@ -14,13 +14,19 @@ projections (HessenbergMatrix), which is what Arnoldi iteration computes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError, NumericalContractError
+
+# a Hermitian map's |Im a_k| and back-coupling mismatch stay below this times its scale
+HERMITICITY_RTOL = 1e-8
+# the Krylov space has closed when a new vector's norm falls this far below scale
+BREAKDOWN_RTOL = 1e-10
 
 
 def _dot(a, b):
@@ -63,23 +69,25 @@ class HessenbergMatrix:
 
 @dataclass
 class TridiagonalCoeffs:
-    """Krylov chain coefficients a_n (n >= 0) and b_n (n >= 1).
+    """Krylov chain coefficients a_n (n >= 0) and b_n^2 (n >= 1).
 
-    b[i] holds b_(i+1).  When the coefficients were produced by exact
-    arithmetic, b_sq carries the exact squares (the square roots may be
-    irrational); otherwise b_sq is simply b**2.
+    b_sq[i] holds b_(i+1)^2, exact when the recurrence ran in exact
+    arithmetic (the square roots may be irrational).
     """
 
     a: list
-    b: list
-    b_sq: list = field(default=None)
+    b_sq: list
 
     def __post_init__(self):
-        if self.b_sq is None:
-            self.b_sq = [bv * bv for bv in self.b]
-        if len(self.a) != len(self.b) + 1:
+        if len(self.a) != len(self.b_sq) + 1:
             raise NumericalContractError(
-                f"need |a| = |b| + 1, got {len(self.a)} and {len(self.b)}")
+                f"need |a| = |b_sq| + 1, got {len(self.a)} and {len(self.b_sq)}")
+
+    @property
+    def b(self):
+        """b_n = sqrt(b_n^2), the principal root: a float where it is real."""
+        roots = [cmath.sqrt(complex(x)) for x in self.b_sq]
+        return [r.real if r.imag == 0.0 else r for r in roots]
 
     def a_array(self):
         return np.asarray([complex(x) for x in self.a])
@@ -88,8 +96,7 @@ class TridiagonalCoeffs:
         return np.asarray([complex(x) for x in self.b])
 
 
-def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True,
-            hermiticity_rtol=1e-8, breakdown_rtol=1e-10):
+def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True):
     """Krylov recurrence of Hermitian (Lanczos) or general (Arnoldi) maps.
 
     Returns (coefficients, basis).  u_(k+1) = L u_k - sum_(j<=k) c_jk u_j,
@@ -135,7 +142,7 @@ def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True,
             scale = max(math.sqrt(abs(_dot(u, u)) / abs(h)), 1e-300)
         if hermitian:
             ak = _dot(basis[k], u) / h
-            if abs(ak.imag) > hermiticity_rtol * scale:
+            if abs(ak.imag) > HERMITICITY_RTOL * scale:
                 raise NumericalContractError(
                     f"non-Hermitian map: a_{k} = {ak} has large imaginary part")
             a.append(ak.real)
@@ -144,7 +151,7 @@ def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True,
                 # so that it still holds where the norms, which shrink
                 # geometrically at large q, underflow
                 back = _dot(basis[k - 1], u)
-                if abs(back / h - 1) > hermiticity_rtol * scale / math.sqrt(abs(b_sq[-1])):
+                if abs(back / h - 1) > HERMITICITY_RTOL * scale / math.sqrt(abs(b_sq[-1])):
                     raise NumericalContractError(
                         f"non-Hermitian map: back-coupling {back} != h_{k} = {h}")
                 u = _axpy(u, -b_sq[-1], basis[k - 1])
@@ -164,7 +171,7 @@ def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True,
         if k == n_max:
             break
         h_next = _dot(u, u).real
-        if h_next / h <= (breakdown_rtol * scale) ** 2:
+        if h_next / h <= (BREAKDOWN_RTOL * scale) ** 2:
             break
         b_sq.append(h_next / h)
         if not hermitian:
@@ -176,8 +183,7 @@ def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True,
         d = len(basis)
         proj[np.arange(1, d), np.arange(d - 1)] = np.sqrt(b_sq)
         return HessenbergMatrix(h=proj, basis_dim=d), basis
-    b = [math.sqrt(float(x)) for x in b_sq]
-    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq), basis
+    return TridiagonalCoeffs(a=a, b_sq=b_sq), basis
 
 
 def hessenberg_error(hm: HessenbergMatrix):

@@ -47,7 +47,7 @@ def _wdot(x, y, g):
 class DiagramSpace:
     """Tree graph plus the physical weights G(T) for a given (q, J)."""
 
-    def __init__(self, q=None, j_sq=None, exact=None, max_trees=None):
+    def __init__(self, q=None, j_sq=None, exact=None):
         if q is not None and (q % 2 or q < 4):
             raise ValidationError(f"q={q} must be an even integer >= 4 (or None)")
         self.q = q
@@ -61,7 +61,7 @@ class DiagramSpace:
             self.arc_weight = 2 * self.j_sq
         else:
             self.arc_weight = 2 * self.j_sq / q
-        self.trees = TreeSpace(q=q, max_trees=max_trees)
+        self.trees = TreeSpace(q=q)
         self._g = []
 
     def weights(self, n):
@@ -234,7 +234,7 @@ def make_dissipative_apply(space: DiagramSpace, mu: float):
     return apply
 
 
-def lanczos_large_n(q_mode, n_max, j_sq=None, max_trees=None):
+def lanczos_large_n(q_mode, n_max, j_sq=None):
     """Large-N Lanczos; returns (coeffs, basis states), basis[n] in generation n.
 
     q_mode None runs the strict large-q engine in exact rational
@@ -246,11 +246,11 @@ def lanczos_large_n(q_mode, n_max, j_sq=None, max_trees=None):
     appears as the first coefficient, and the basis states are normalized.
     """
     exact = q_mode is None
-    space = DiagramSpace(q=q_mode, j_sq=j_sq, exact=exact, max_trees=max_trees)
+    space = DiagramSpace(q=q_mode, j_sq=j_sq, exact=exact)
     if exact:
         coeffs, basis = lanczos(hamiltonian_apply, space.root_state(),
                                 max(n_max, 1) - 1, last_diagonal=False)
-        coeffs = TridiagonalCoeffs(a=[Fraction(0)] + coeffs.a, b=[0.0] + coeffs.b,
+        coeffs = TridiagonalCoeffs(a=[Fraction(0)] + coeffs.a,
                                    b_sq=[Fraction(0)] + coeffs.b_sq)
         return coeffs, [space.vacuum_state()] + basis
     coeffs, basis = lanczos(hamiltonian_apply, space.vacuum_state(), n_max,

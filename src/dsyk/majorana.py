@@ -93,11 +93,6 @@ class OperatorVector:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, n):
-        d = _dimension(n)
-        return cls(n, np.zeros((d, d), dtype=complex))
-
-    @classmethod
     def basis_string(cls, n, mask, amplitude=1.0):
         return cls.from_terms(n, {mask: amplitude})
 
@@ -146,15 +141,6 @@ class OperatorVector:
 
     def norm(self):
         return float(np.linalg.norm(self.matrix)) / math.sqrt(self.matrix.shape[0])
-
-    def normalized(self):
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValidationError("cannot normalize the zero operator")
-        return self * (1.0 / nrm)
-
-    def dagger(self):
-        return OperatorVector(self.n, self.matrix.conj().T)
 
 
 @dataclass(frozen=True, eq=False)

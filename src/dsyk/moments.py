@@ -1,14 +1,12 @@
 """Moment method for Krylov chains.
 
-Three transforms, all in exact arithmetic when the inputs are exact:
+Two transforms, both in exact arithmetic when the inputs are exact:
 
 * ``moments_from_g``: Taylor moments of the large-q autocorrelation as
   polynomials in u = i*mu_tilde, obtained by solving the Liouville-type
   series recursion for f = e^(g/2) (f'' = alpha^2 f - 2 f^3 with J = 1).
 * ``moments_to_tridiagonal``: modified-Chebyshev style recursion from
   moments to Jacobi coefficients a_n, b_n^2.
-* ``tridiagonal_to_series``: the continued-fraction inverse,
-  sum_n m_n z^n = 1/(1 - a_0 z - b_1^2 z^2/(1 - a_1 z - ...)).
 
 The moment-to-coefficient recursion is catastrophically ill-conditioned in
 floating point beyond n ~ 10, which is why everything here is ring-generic:
@@ -17,7 +15,6 @@ Fraction, sympy exact numbers, and plain complex all work.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -75,10 +72,6 @@ class MomentPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * u + c
         return acc
-
-    def has_parity_of(self, n: int) -> bool:
-        """True when only powers u^n, u^(n-2), ... appear."""
-        return all(c == 0 for k, c in enumerate(self.coeffs) if (k - n) % 2)
 
     def __eq__(self, other):
         if isinstance(other, MomentPolynomial):
@@ -219,84 +212,4 @@ def moments_to_tridiagonal(m, n_max: int) -> TridiagonalCoeffs:
         b_sq.append(row[k] / row_prev[k - 1])
         a.append(row[k + 1] / row[k] - row_prev[k] / row_prev[k - 1])
         row_pprev, row_prev = row_prev, row
-    b = [cmath.sqrt(complex(v)) for v in b_sq]
-    b = [bv.real if abs(bv.imag) == 0.0 else bv for bv in b]
-    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq)
-
-
-def _series_mul(p, q, order):
-    out = [0] * (order + 1)
-    for i, av in enumerate(p):
-        if i > order or _is_zero(av):
-            continue
-        for j, bv in enumerate(q):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + av * bv
-    return out
-
-
-def _series_inverse(d, order):
-    d0 = d[0]
-    if _is_zero(d0):
-        raise ValidationError("series has no inverse (zero constant term)")
-    # keep integer arithmetic exact: avoid / when the constant term is unit
-    unit = isinstance(d0, int) and d0 == 1
-    inv = [1 if unit else 1 / d0] + [0] * order
-    for n in range(1, order + 1):
-        s = 0
-        for k in range(1, min(n, len(d) - 1) + 1):
-            s = s + d[k] * inv[n - k]
-        inv[n] = -s if unit else -s / d0
-    return inv
-
-
-def tridiagonal_to_series(c: TridiagonalCoeffs, n_max: int) -> MomentSequence:
-    """Power-series moments of the continued fraction of a Jacobi chain.
-
-    Evaluates 1/(1 - a_0 z - b_1^2 z^2/(1 - a_1 z - ...)) as a z-series
-    to order n_max, truncating the fraction at a depth that cannot affect
-    the requested orders (level k first contributes at order 2k).
-    """
-    depth = n_max // 2
-    if len(c.a) < depth + 1 or len(c.b_sq) < depth:
-        raise ValidationError(
-            f"need a_0..a_{depth} and b_1^2..b_{depth}^2 for order {n_max}")
-    tail = [1] + [0] * n_max
-    for k in range(depth, -1, -1):
-        denom = [1] + [0] * n_max
-        denom[1] = denom[1] - c.a[k]
-        if k < depth:
-            shifted = _series_mul(tail, [c.b_sq[k]], n_max)
-            for i, v in enumerate(shifted):
-                if i + 2 <= n_max:
-                    denom[i + 2] = denom[i + 2] - v
-        tail = _series_inverse(denom, n_max)
-    return MomentSequence(values=tail)
-
-
-def jacobi_moments(c: TridiagonalCoeffs, n_max: int):
-    """Moments m_n = (e_0, J^n e_0) of the Jacobi chain, exact arithmetic.
-
-    Uses the similarity-transformed matrix with unit subdiagonal and b^2
-    superdiagonal, so only a_n and b_n^2 enter (no square roots).  Needs
-    coefficients up to index n_max // 2.
-    """
-    top = n_max // 2
-    if len(c.a) < top + 1 or len(c.b_sq) < top:
-        raise ValidationError(f"need coefficients up to index {top}")
-    out = [1]
-    v = {0: 1}
-    for _ in range(n_max):
-        new = {}
-        for i, x in v.items():
-            if _is_zero(x):
-                continue
-            if i + 1 <= top:
-                new[i + 1] = new.get(i + 1, 0) + x
-            new[i] = new.get(i, 0) + c.a[i] * x
-            if i > 0:
-                new[i - 1] = new.get(i - 1, 0) + c.b_sq[i - 1] * x
-        v = new
-        out.append(v.get(0, 0))
-    return out
+    return TridiagonalCoeffs(a=a, b_sq=b_sq)

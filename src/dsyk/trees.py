@@ -84,18 +84,16 @@ class TreeSpace:
     ``q`` bounds children per vertex at q-1; ``q=None`` means no bound (the
     large-q engine).  The next generation is built only once it is asked
     for, and not when its projected size times TREE_BYTES exceeds the
-    memory the operating system reports available, or when the tree count
-    would pass ``max_trees`` (None: no cap); both raise ResourceLimitError.
+    memory the operating system reports available: that raises
+    ResourceLimitError.
     """
 
     VACUUM = VACUUM
     ROOT = ROOT
 
-    def __init__(self, q=None, max_trees=None):
+    def __init__(self, q=None):
         self.cap = None if q is None else q - 1
-        self.max_trees = max_trees
         self.kids = [None, ()]
-        self._index = {(): ROOT}
         self.aut = [1, 1]
         # product over vertices of (q-1)(q-2)...(q-c), c the child count
         self.slot = [1, 1]
@@ -130,9 +128,9 @@ class TreeSpace:
         """The attach step into generation n, read backwards for removals."""
         return self.successors(n - 1)
 
-    def _intern(self, kids):
+    def _intern(self, kids, index):
         i = len(self.kids)
-        self._index[kids] = i
+        index[kids] = i
         self.kids.append(kids)
         aut = 1
         slot = 1 if self.cap is None else perm(self.cap, len(kids))
@@ -152,7 +150,9 @@ class TreeSpace:
 
     def _attach_all(self, lo, hi):
         """Grow every tree of ids lo..hi-1 by one leaf, interning the results."""
-        kids, index, succ_of = self.kids, self._index, self._succ
+        # every tree this pass creates has one arc more than those it grows,
+        # so its index only needs the generation being built
+        kids, index, succ_of = self.kids, {}, self._succ
         for t in range(lo, hi):
             grown = {}
             for rest, c, k in attachments(kids[t], self.cap):
@@ -160,7 +160,7 @@ class TreeSpace:
                     i = bisect(rest, s)
                     key = rest[:i] + (s,) + rest[i:]
                     grown[key] = grown.get(key, 0) + k * a
-            succ_of[t] = tuple([(index.get(key) or self._intern(key), a)
+            succ_of[t] = tuple([(index.get(key) or self._intern(key, index), a)
                                 for key, a in grown.items()])
 
     def _grow(self):
@@ -192,7 +192,3 @@ class TreeSpace:
         # m is a small integer and this float quotient lies within ~1e-16 of it
         mult = np.rint(attach * aut[cols - lo] / aut[rows]).astype(np.int64)
         self.steps.append(Step(rows, cols - hi, attach, mult))
-        if self.max_trees is not None and len(self.kids) > self.max_trees:
-            raise ResourceLimitError(
-                f"generation {n + 1} brings the tree count to {len(self.kids)}, "
-                f"above max_trees={self.max_trees}")

@@ -2,10 +2,14 @@
 
 Everything here is deliberately naive: dense matrices, brute-force
 enumeration, textbook Gram-Schmidt.  None of it imports the modules under
-test except for plain data containers.
+test except for plain data containers.  The last section holds the
+analytic and algebraic helpers that only tests call: the inverse moment
+transforms, the continuum crossover forms and small operator utilities.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -13,7 +17,10 @@ import numpy as np
 import scipy.linalg
 import sympy as sp
 
+from dsyk.errors import FitError, ValidationError
 from dsyk.krylov import TridiagonalCoeffs
+from dsyk.majorana import OperatorVector
+from dsyk.moments import MomentSequence, _is_zero
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -299,8 +306,7 @@ def meixner_tridiagonal_exact(u, eta, n_max: int) -> TridiagonalCoeffs:
     eta = sp.nsimplify(eta, rational=True)
     a = [sp.I * u * (2 * n + eta) for n in range(n_max + 1)]
     b_sq = [(1 - u ** 2) * n * (n - 1 + eta) for n in range(1, n_max + 1)]
-    b = [sp.sqrt(v) for v in b_sq]
-    return TridiagonalCoeffs(a=a, b=b, b_sq=b_sq)
+    return TridiagonalCoeffs(a=a, b_sq=b_sq)
 
 
 def k_complexity_partition(t, p):
@@ -511,3 +517,184 @@ def string_terms(gammas, matrix, tol=1e-12):
         if abs(c) > tol:
             out[mask] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests call
+
+
+def zero_operator(n):
+    """The zero operator on N Majoranas (N validated like any constructor)."""
+    return OperatorVector.from_terms(n, {})
+
+
+def normalized(o):
+    nrm = o.norm()
+    if nrm == 0.0:
+        raise ValidationError("cannot normalize the zero operator")
+    return o * (1.0 / nrm)
+
+
+def dagger(o):
+    return OperatorVector(o.n, o.matrix.conj().T)
+
+
+def has_parity_of(poly, n: int) -> bool:
+    """True when only powers u^n, u^(n-2), ... appear in a MomentPolynomial."""
+    return all(c == 0 for k, c in enumerate(poly.coeffs) if (k - n) % 2)
+
+
+def _series_mul(p, q, order):
+    out = [0] * (order + 1)
+    for i, av in enumerate(p):
+        if i > order or _is_zero(av):
+            continue
+        for j, bv in enumerate(q):
+            if i + j > order:
+                break
+            out[i + j] = out[i + j] + av * bv
+    return out
+
+
+def _series_inverse(d, order):
+    d0 = d[0]
+    if _is_zero(d0):
+        raise ValidationError("series has no inverse (zero constant term)")
+    # keep integer arithmetic exact: avoid / when the constant term is unit
+    unit = isinstance(d0, int) and d0 == 1
+    inv = [1 if unit else 1 / d0] + [0] * order
+    for n in range(1, order + 1):
+        s = 0
+        for k in range(1, min(n, len(d) - 1) + 1):
+            s = s + d[k] * inv[n - k]
+        inv[n] = -s if unit else -s / d0
+    return inv
+
+
+def tridiagonal_to_series(c: TridiagonalCoeffs, n_max: int) -> MomentSequence:
+    """Power-series moments of the continued fraction of a Jacobi chain.
+
+    Evaluates 1/(1 - a_0 z - b_1^2 z^2/(1 - a_1 z - ...)) as a z-series
+    to order n_max, truncating the fraction at a depth that cannot affect
+    the requested orders (level k first contributes at order 2k).
+    """
+    depth = n_max // 2
+    if len(c.a) < depth + 1 or len(c.b_sq) < depth:
+        raise ValidationError(
+            f"need a_0..a_{depth} and b_1^2..b_{depth}^2 for order {n_max}")
+    tail = [1] + [0] * n_max
+    for k in range(depth, -1, -1):
+        denom = [1] + [0] * n_max
+        denom[1] = denom[1] - c.a[k]
+        if k < depth:
+            shifted = _series_mul(tail, [c.b_sq[k]], n_max)
+            for i, v in enumerate(shifted):
+                if i + 2 <= n_max:
+                    denom[i + 2] = denom[i + 2] - v
+        tail = _series_inverse(denom, n_max)
+    return MomentSequence(values=tail)
+
+
+def jacobi_moments(c: TridiagonalCoeffs, n_max: int):
+    """Moments m_n = (e_0, J^n e_0) of the Jacobi chain, exact arithmetic.
+
+    Uses the similarity-transformed matrix with unit subdiagonal and b^2
+    superdiagonal, so only a_n and b_n^2 enter (no square roots).  Needs
+    coefficients up to index n_max // 2.
+    """
+    top = n_max // 2
+    if len(c.a) < top + 1 or len(c.b_sq) < top:
+        raise ValidationError(f"need coefficients up to index {top}")
+    out = [1]
+    v = {0: 1}
+    for _ in range(n_max):
+        new = {}
+        for i, x in v.items():
+            if _is_zero(x):
+                continue
+            if i + 1 <= top:
+                new[i + 1] = new.get(i + 1, 0) + x
+            new[i] = new.get(i, 0) + c.a[i] * x
+            if i > 0:
+                new[i - 1] = new.get(i - 1, 0) + c.b_sq[i - 1] * x
+        v = new
+        out.append(v.get(0, 0))
+    return out
+
+
+def g_function(t, j_script=1.0, mu_tilde=0.0):
+    """Autocorrelation exponent g(t) = log[alpha^2/(J^2 cosh^2(alpha t + gamma))].
+
+    alpha = sqrt((mu_tilde/2)^2 + J^2) and gamma = arcsinh(mu_tilde/(2J))
+    make g(0) = 0.  Vectorized over t.
+    """
+    t = np.asarray(t, dtype=float)
+    alpha = math.sqrt((mu_tilde / 2.0) ** 2 + j_script ** 2)
+    gamma = math.asinh(mu_tilde / (2.0 * j_script))
+    out = np.log(alpha ** 2 / (j_script ** 2 * np.cosh(alpha * t + gamma) ** 2))
+    return out if out.shape else float(out)
+
+
+def tail_decay_rate(u: float) -> float:
+    """Stationary tail decay: |phi_n| ~ exp(-n ln((1+u)/sqrt(1-u^2))) * n^((eta-1)/2)."""
+    return math.log((1.0 + u) / math.sqrt(1.0 - u ** 2))
+
+
+def stationary_tail_fit(s, n_window, eta=None) -> float:
+    """Exponential decay length xi of |phi_n| of a ChainState over n in [n_lo, n_hi].
+
+    With eta supplied, the stationary n^((eta-1)/2) power-law prefactor is
+    divided out first.  The tail must be positive and strictly decreasing.
+    """
+    n_lo, n_hi = n_window
+    if not 0 <= n_lo < n_hi <= s.n_trunc:
+        raise FitError(f"window {n_window} outside chain range 0..{s.n_trunc}")
+    ns = np.arange(n_lo, n_hi + 1)
+    y = np.abs(s.phi[n_lo: n_hi + 1])
+    if np.any(y <= 0.0):
+        raise FitError("tail contains zero amplitudes")
+    if eta is not None:
+        y = y / ns.astype(float) ** ((eta - 1.0) / 2.0)
+    if np.any(np.diff(y) >= 0.0):
+        raise FitError("tail is not strictly decreasing; not in the stationary regime")
+    slope = np.polyfit(ns, np.log(y), 1)[0]
+    return -1.0 / float(slope)
+
+
+@dataclass(frozen=True)
+class ContinuumParams:
+    """Continuum growth rate alpha and dissipation scale chi*mu."""
+
+    alpha: float
+    chi_mu: float
+
+    def __post_init__(self):
+        if self.alpha <= 0.0:
+            raise ValidationError(f"alpha={self.alpha} must be positive")
+        if self.chi_mu < 0.0:
+            raise ValidationError(f"chi_mu={self.chi_mu} must be >= 0")
+
+    @property
+    def xi(self) -> float:
+        """Stationary localization length 2 alpha/(chi mu)."""
+        if self.chi_mu == 0.0:
+            return math.inf
+        return 2.0 * self.alpha / self.chi_mu
+
+    @property
+    def t_star(self) -> float:
+        """Saturation time ln(2 alpha/(chi mu)) / (2 alpha)."""
+        if self.chi_mu == 0.0:
+            raise ValidationError("saturation time undefined at chi_mu = 0")
+        return math.log(2.0 * self.alpha / self.chi_mu) / (2.0 * self.alpha)
+
+
+def continuum_prediction(p: ContinuumParams, t):
+    """Reference crossover curve: e^(2 alpha t) capped at xi.
+
+    Asymptotic ("~") relation only; used for order-of-magnitude bands.
+    """
+    t = np.asarray(t, dtype=float)
+    growth = np.exp(2.0 * p.alpha * t)
+    out = growth if p.chi_mu == 0.0 else np.minimum(growth, p.xi)
+    return out if out.shape else float(out)

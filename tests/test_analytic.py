@@ -8,20 +8,23 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from dsyk.analytic import (
-    ContinuumParams,
     MeixnerParams,
-    continuum_prediction,
-    g_function,
     k_complexity_exact,
     k_saturation,
     meixner_tridiagonal,
     meixner_wavefunction,
-    tail_decay_rate,
     variance_exact,
     variance_saturation,
 )
 from dsyk.errors import ValidationError
-from oracles import k_complexity_partition, meixner_tridiagonal_exact
+from oracles import (
+    ContinuumParams,
+    continuum_prediction,
+    g_function,
+    k_complexity_partition,
+    meixner_tridiagonal_exact,
+    tail_decay_rate,
+)
 
 us = st.floats(min_value=0.0, max_value=0.9, allow_nan=False)
 etas = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)

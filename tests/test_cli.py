@@ -2,14 +2,16 @@
 
 import json
 import math
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsyk import trees
-from dsyk.cli import finite_n_bytes, main
+from dsyk import cli, trees
+from dsyk.cli import build_parser, finite_n_bytes, main
 
 
 def read_csv(path):
@@ -69,8 +71,8 @@ def test_finite_n_fit_window_too_small(tmp_path):
     assert "fewer than 2 diagonal entries" in manifest["diagonal_fit_error"]
 
 
-def test_finite_n_multiseed_workers(tmp_path):
-    assert main(["--out", str(tmp_path), "--workers", "2", "finite-n-arnoldi",
+def test_finite_n_multiseed(tmp_path):
+    assert main(["--out", str(tmp_path), "finite-n-arnoldi",
                  "--n", "6", "--mu", "0.0", "--seed", "1", "--seed", "2",
                  "--nmax", "4"]) == 0
     assert (tmp_path / "hessenberg_N6_q4_mu0.0_seed1.csv").exists()
@@ -106,7 +108,6 @@ def test_finite_n_diagonal_fit_window(tmp_path):
     ["finite-n-arnoldi", "--n", "8", "--nmax", "0"],
     ["large-n", "--q-inf", "--nmax", "0"],
     ["large-n", "--q", "4", "--nmax", "-1"],
-    ["large-n", "--q", "4", "--nmax", "4", "--max-trees", "0"],
 ])
 def test_counts_below_one_exit_code(tmp_path, argv):
     assert main(["--out", str(tmp_path)] + argv) == 2
@@ -114,30 +115,29 @@ def test_counts_below_one_exit_code(tmp_path, argv):
 
 
 # small, bad or unparsable values for each subcommand's flags (None: a switch);
-# sizes stay small enough that no case builds a big graph, and --workers
-# never exceeds 1
+# sizes stay small enough that no case builds a big graph.  The keys are
+# every option each subcommand has, as the README documents them
 _FLAG_VALUES = {
     "finite-n-arnoldi": {"--n": ["-2", "0", "3", "4", "6", "x"],
                          "--q": ["-2", "0", "2", "3", "4", "8"],
                          "--mu": ["-1", "0", "0.05"], "--nmax": ["-1", "0", "1", "3"],
                          "--seed": ["-1", "0", "2"], "--coupling": ["-1", "0", "1"]},
     "large-n": {"--q": ["-2", "0", "2", "3", "4", "6"], "--q-inf": None,
-                "--mu": ["-0.1", "0", "0.1"], "--nmax": ["-1", "0", "1", "4"],
-                "--max-trees": ["-1", "0", "1", "5", "50", "x"]},
+                "--mu": ["-0.1", "0", "0.1"], "--nmax": ["-1", "0", "1", "4"]},
     "moments": {"--nmax": ["-1", "0", "1", "2", "6"], "--q": ["-2", "0", "1", "4"],
                 "--mu-tilde": ["-0.5", "0", "0.1", "2"]},
     "meixner": {"--u": ["-1", "0", "0.1", "1", "1.5"], "--eta": ["-1", "0", "0.5"],
                 "--tmax": ["-1", "0", "1"], "--points": ["-1", "0", "1", "3"]},
     "evolve": {"--u": ["-1", "0", "0.1", "1"], "--eta": ["-1", "0", "0.5"],
                "--tmax": ["-1", "0", "0.5"], "--points": ["-1", "0", "1", "3"],
-               "--ntrunc": ["-1", "0", "1", "5"], "--dt-tol": ["-1", "0", "1e-6"]},
+               "--dt-tol": ["-1", "0", "1e-6"]},
 }
 
 
 @st.composite
 def cli_argvs(draw):
     command = draw(st.sampled_from(sorted(_FLAG_VALUES)))
-    argv = draw(st.sampled_from([[], ["--workers", "0"], ["--workers", "1"]])) + [command]
+    argv = [command]
     for flag, values in _FLAG_VALUES[command].items():
         if draw(st.booleans()):
             argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
@@ -161,10 +161,10 @@ def test_validation_exit_code(tmp_path):
     assert main(["--out", str(tmp_path), "evolve", "--u", "1.5"]) == 2
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     # closed-system growth slams into a deliberately tiny truncation wall
-    assert main(["--out", str(tmp_path), "evolve", "--u", "0.0",
-                 "--ntrunc", "10", "--tmax", "5.0"]) == 4
+    monkeypatch.setattr(cli, "meixner_n_trunc", lambda p, t_max: 10)
+    assert main(["--out", str(tmp_path), "evolve", "--u", "0.0", "--tmax", "5.0"]) == 4
 
 
 def test_large_n_exact_engine(tmp_path):
@@ -198,11 +198,6 @@ def test_large_n_dissipative_arnoldi(tmp_path):
     assert manifest["mu"] == 0.25
     h00 = next(r for r in rows if r[0] == "0" and r[1] == "0")
     assert float(h00[3]) == pytest.approx(0.25, rel=1e-12)  # i mu s, s = 1
-
-
-def test_large_n_tree_cap_exit_code(tmp_path):
-    assert main(["--out", str(tmp_path), "large-n", "--q", "4",
-                 "--nmax", "12", "--max-trees", "50"]) == 3
 
 
 def test_large_n_tree_memory_estimate_exit_code(tmp_path, monkeypatch):
@@ -248,3 +243,17 @@ def test_help_mentions_documented_flags(capsys):
     text = capsys.readouterr().out
     for flag in ["--n", "--q", "--coupling", "--mu", "--seed", "--nmax"]:
         assert flag in text
+
+
+def test_options_are_the_documented_set():
+    # every option is one the README names and the fuzz table above draws
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a.choices, dict)]
+    registered = {None: ap, **sub.choices}
+    expected = {None: {"--out"}, **{cmd: set(flags) for cmd, flags in _FLAG_VALUES.items()}}
+    for command, parser in registered.items():
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == expected[command], command
+        for option in options:
+            assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme), option

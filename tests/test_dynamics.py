@@ -12,7 +12,6 @@ from dsyk.dynamics import (
     evolve_chain,
     k_complexity_numeric,
     meixner_n_trunc,
-    stationary_tail_fit,
 )
 from dsyk.errors import (
     FitError,
@@ -22,7 +21,7 @@ from dsyk.errors import (
     ValidationError,
 )
 from dsyk.krylov import TridiagonalCoeffs
-from oracles import chain_evolution_expm, direct_k_and_variance
+from oracles import chain_evolution_expm, direct_k_and_variance, stationary_tail_fit
 
 
 def toy_chain(n=40, u=0.1, eta=1.0):
@@ -46,7 +45,7 @@ def test_truncation_longer_than_coefficients():
 
 
 def test_complex_b_rejected():
-    c = TridiagonalCoeffs(a=[0.0, 0.0], b=[1j])
+    c = TridiagonalCoeffs(a=[0.0, 0.0], b_sq=[-1.0])
     with pytest.raises(ValidationError):
         evolve_chain(c, [0.0, 0.1])
 
@@ -55,7 +54,7 @@ def random_complex_chain(n=30, seed=5):
     """Seeded a_n with real and imaginary parts, so i a_n is complex; real b_n."""
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 0.5, n + 1) + 1j * rng.uniform(0.0, 0.5, n + 1)
-    return TridiagonalCoeffs(a=list(a), b=list(rng.uniform(0.5, 1.5, n)))
+    return TridiagonalCoeffs(a=list(a), b_sq=list(rng.uniform(0.5, 1.5, n) ** 2))
 
 
 @pytest.mark.parametrize("c, dtype", [

@@ -129,9 +129,10 @@ def test_lanczos_exact_over_fractions():
 
 def test_tridiagonal_coeffs_shape_contract():
     with pytest.raises(NumericalContractError):
-        TridiagonalCoeffs(a=[0.0], b=[1.0, 2.0])
-    c = TridiagonalCoeffs(a=[0.0, 0.0], b=[2.0])
-    assert c.b_sq == [4.0]
+        TridiagonalCoeffs(a=[0.0], b_sq=[1.0, 4.0])
+    # b is derived from b_sq: a real float root, a complex one only where needed
+    c = TridiagonalCoeffs(a=[0.0, 0.0, 0.0], b_sq=[4.0, -1.0])
+    assert c.b == [2.0, 1j] and isinstance(c.b[0], float)
 
 
 def test_hessenberg_error_zero_on_tridiagonal():

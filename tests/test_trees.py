@@ -188,8 +188,9 @@ def test_id_graph_matches_nested_tuple_oracle(q):
         assert succ == {enc: set(attachments(enc, cap)) for enc in encs}
 
 
-def test_treespace_resource_cap():
-    sp = TreeSpace(q=None, max_trees=10)
+def test_treespace_resource_cap(monkeypatch):
+    monkeypatch.setattr("dsyk.trees.TREE_BYTES", 2 ** 60)
+    sp = TreeSpace(q=None)
     with pytest.raises(ResourceLimitError):
         sp.count(6)
 
