@@ -31,14 +31,6 @@ class MeixnerParams:
         if self.eta <= 0.0:
             raise ValidationError(f"eta={self.eta} must be positive")
 
-    @property
-    def j_script_sq(self) -> float:
-        return 1.0 - self.u ** 2
-
-    @property
-    def mu_tilde(self) -> float:
-        return 2.0 * self.u
-
 
 def meixner_tridiagonal(p: MeixnerParams, n_max: int) -> TridiagonalCoeffs:
     """Chain coefficients a_n = iu(2n+eta), b_n^2 = (1-u^2) n (n-1+eta)."""

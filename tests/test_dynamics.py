@@ -86,19 +86,64 @@ def test_evolution_matches_meixner_closed_form():
         assert np.max(np.abs(st.phi - ref)) < 1e-9
 
 
-def test_meixner_ode_state_has_one_real_entry_per_site(monkeypatch):
-    starts = []
+def record_solves(monkeypatch):
+    """Wrap dynamics.solve_ivp; returns the list of (y0, result) of each call."""
+    calls = []
     solve = dynamics.solve_ivp
 
     def recording(fun, t_span, y0, **kwargs):
-        starts.append(y0)
-        return solve(fun, t_span, y0, **kwargs)
+        res = solve(fun, t_span, y0, **kwargs)
+        calls.append((y0, res))
+        return res
 
     monkeypatch.setattr(dynamics, "solve_ivp", recording)
+    return calls
+
+
+def test_meixner_ode_state_has_one_real_entry_per_site(monkeypatch):
+    calls = record_solves(monkeypatch)
     evolve_chain(toy_chain(30, u=0.1), [0.0, 0.5], n_trunc=20, raise_on_spill=False)
-    (y0,) = starts
+    ((y0, _),) = calls
     assert y0.shape == (21,)
     assert y0.dtype == np.float64
+
+
+def u001_chain(fraction=1.0):
+    """The u = 0.01, eta = 0.5, t <= 8 Meixner chain of `dsyk evolve`, cut to
+    the given fraction of the length meixner_n_trunc asks for."""
+    p = MeixnerParams(u=0.01, eta=0.5)
+    n_trunc = int(fraction * meixner_n_trunc(p, t_max=8.0))
+    return meixner_tridiagonal(p, n_trunc), np.linspace(0.0, 8.0, 61)
+
+
+def test_chain_ode_steps_at_the_accuracy_limit(monkeypatch):
+    # an explicit method is held to h * 2 b_max ~ 8 by stability: about
+    # 47,000 evaluations on this chain, against about 3,400 for Radau IIA
+    calls = record_solves(monkeypatch)
+    c, grid = u001_chain()
+    evolve_chain(c, grid, rtol=1e-9, atol=1e-11)
+    ((_, res),) = calls
+    assert res.nfev < 10_000
+    assert res.nlu > 0
+
+
+def test_damping_does_not_hide_truncation():
+    # Radau IIA is L-stable, so it damps the spurious fast modes of a short
+    # chain; the boundary amplitude must still expose the truncation
+    c, grid = u001_chain(fraction=0.5)
+    with pytest.raises(TruncationError):
+        evolve_chain(c, grid, rtol=1e-9, atol=1e-11)
+
+
+@pytest.mark.parametrize("c, dtype", [
+    (toy_chain(10), np.float64),
+    (random_complex_chain(), np.complex128),
+], ids=["meixner", "complex"])
+def test_one_point_grid_returns_initial_state(c, dtype):
+    (st,) = evolve_chain(c, [0.0])
+    assert st.t == 0.0
+    assert st.phi.dtype == dtype
+    np.testing.assert_array_equal(st.phi, np.eye(1, st.phi.size)[0])
 
 
 def test_spill_raises_or_flags():
