@@ -208,16 +208,16 @@ def cmd_large_n(args):
 def cmd_moments(args):
     _require_counts(("--nmax", args.nmax), ("--q", args.q))
     out_dir = _out_dir(args)
-    polys = moments_from_g(args.nmax)
+    n_tri = max(1, (args.nmax - 1) // 2)
+    polys = moments_from_g(max(args.nmax, 2 * n_tri + 1))
     manifest = _manifest(args, n_max=args.nmax, mu_tilde=args.mu_tilde)
     rows = []
-    for n in range(1, len(polys)):
+    for n in range(1, args.nmax + 1):
         coeffs = ";".join(str(c) for c in polys[n].coeffs)
         rows.append((n, polys[n].degree, coeffs))
     write_csv(out_dir / "moment_polynomials.csv", manifest,
               ["n", "degree", "coeffs_ascending_u"], rows)
-    n_tri = max(1, (args.nmax - 1) // 2)
-    m = large_q_moment_sequence(args.q, args.mu_tilde, 2 * n_tri + 1)
+    m = large_q_moment_sequence(args.q, args.mu_tilde, 2 * n_tri + 1, polys)
     tri = moments_to_tridiagonal(m, n_tri)
     trows = [(n, complex(tri.a[n]).real, complex(tri.a[n]).imag,
               complex(tri.b_sq[n - 1]).real if n >= 1 else 0.0,

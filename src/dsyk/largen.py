@@ -14,14 +14,18 @@ drop out.  With J_script^2 = 1/2 the large-q identities are exact rational
 statements and are computed as such.
 
 A state holds one 1-D array per generation, indexed by position within
-that generation's contiguous tree ids: float64 (complex128 once a complex
-scalar enters) in float spaces, and objects (ints and Fractions) in exact
-spaces, so exact runs stay exact.
+that generation's contiguous tree ids.  In float spaces the arrays are
+float64 (complex128 once a complex scalar enters) and hold the
+coefficients.  In exact spaces they hold Python ints, which cannot
+overflow, and one rational scale multiplies the whole state; the inner
+product then takes one Fraction per generation, not one per tree, so exact
+runs stay exact at integer speed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -39,9 +43,27 @@ def _default_j_sq(q):
     return Fraction(q, 2 ** (q - 1))
 
 
-def _wdot(x, y, g):
-    """sum conj(x) g y over one generation."""
-    return np.vdot(x, g * y)
+def _common_scale(s, t):
+    """(c, s/c, t/c) for two rational scales: c is the gcd of their
+    numerators over the lcm of their denominators, so both quotients are
+    integers."""
+    if s == t:
+        return s, 1, 1
+    g = math.gcd(s.numerator, t.numerator)
+    d = math.lcm(s.denominator, t.denominator)
+    return (Fraction(g, d), s.numerator // g * (d // s.denominator),
+            t.numerator // g * (d // t.denominator))
+
+
+def _lincomb(x, a, y, b):
+    """{n: a x_n + b y_n} over the generations of x and y; a or b equal to 1
+    is not applied."""
+    out = dict(x) if a == 1 else {n: v * a for n, v in x.items()}
+    for n, v in y.items():
+        if b != 1:
+            v = b * v
+        out[n] = out[n] + v if n in out else v
+    return out
 
 
 class DiagramSpace:
@@ -63,9 +85,16 @@ class DiagramSpace:
             self.arc_weight = 2 * self.j_sq / q
         self.trees = TreeSpace(q=q)
         self._g = []
+        self._g_unit = []
+        self._down = []
 
     def weights(self, n):
-        """G of every tree in generation n, as one array."""
+        """G of every tree in generation n, as one array.
+
+        In an exact space these are the integers D_n slot(T)/|Aut T|, D_n
+        the lcm of the generation's |Aut|, and G is that array times the
+        rational w^n / D_n.
+        """
         t = self.trees
         while len(self._g) <= n:
             k = len(self._g)
@@ -73,22 +102,51 @@ class DiagramSpace:
             slot, aut = t.slot[ids.start:ids.stop], t.aut[ids.start:ids.stop]
             wk = self.arc_weight ** k
             if self.exact:
-                g = np.array([wk * Fraction(s, a) for s, a in zip(slot, aut)], dtype=object)
+                d = math.lcm(*aut)
+                g = np.array([s * (d // a) for s, a in zip(slot, aut)], dtype=object)
+                self._g_unit.append(wk / d)
             else:
                 g = wk * np.array(slot, dtype=float) / np.array(aut, dtype=float)
             self._g.append(g)
         return self._g[n]
 
+    def gen_dot(self, n, x, y):
+        """sum conj(x) G y over generation n (state scales not applied)."""
+        g = self.weights(n)
+        if self.exact:
+            return self._g_unit[n] * np.dot(x, g * y)
+        return np.vdot(x, g * y)
+
+    def removal_factors(self, n):
+        """Per edge of the step into generation n (CSR order), the integer
+        a(T -> S) slot(S)/slot(T): L_-'s matrix element m(S -> T) G(S)/G(T)
+        over the arc weight."""
+        t = self.trees
+        while len(self._down) < n:
+            k = len(self._down) + 1
+            step = t.predecessors(k)
+            lo, hi = t.start[k - 1], t.start[k]
+            slot = np.array(t.slot[lo:t.start[k + 1]], dtype=float)
+            # slot(S)/slot(T) is q - 1 minus the child count of the vertex the
+            # leaf grew on, and this float quotient lies within ~1e-16 of it
+            ratio = np.rint(slot[hi - lo + step.cols] / slot[step.rows]).astype(np.int64)
+            self._down.append((step.attach * ratio).astype(object))
+        return self._down[n - 1]
+
     def state(self, terms):
         """The state with coefficients {tree id: c}."""
         t = self.trees
+        scale = 1
+        if self.exact:
+            scale = Fraction(1, math.lcm(*(Fraction(c).denominator for c in terms.values())))
+            terms = {i: int(c / scale) for i, c in terms.items()}
         gens = {}
         for i, c in terms.items():
             n = t.generation_of(i)
             if n not in gens:
                 gens[n] = np.zeros(t.count(n), dtype=object if self.exact else float)
             gens[n][i - t.start[n]] = c
-        return DiagramState(self, gens)
+        return DiagramState(self, gens, scale)
 
     def _one(self):
         return Fraction(1) if self.exact else 1.0
@@ -101,18 +159,22 @@ class DiagramSpace:
 
 
 class DiagramState:
-    """Weighted sum of canonical trees: {generation: coefficient array}.
+    """Weighted sum of canonical trees: scale times {generation: coefficient array}.
 
     Supports the vector interface of the Krylov builders; the inner product
-    carries the diagram norms G(T).  Arrays are never written in place, so
-    states may share them.
+    carries the diagram norms G(T).  A float state's arrays hold its
+    coefficients and its scale is 1.  An exact state holds Python-int
+    arrays and one rational scale, so a scalar product only changes the
+    scale, and a sum first brings both operands to a common scale.  Arrays
+    are never written in place, so states may share them.
     """
 
-    __slots__ = ("space", "gens")
+    __slots__ = ("space", "gens", "scale")
 
-    def __init__(self, space, gens):
+    def __init__(self, space, gens, scale=1):
         self.space = space
         self.gens = gens
+        self.scale = scale
 
     @property
     def terms(self):
@@ -120,7 +182,10 @@ class DiagramState:
         out = {}
         for n, v in sorted(self.gens.items()):
             nz = np.flatnonzero(v)
-            out.update(zip((nz + self.space.trees.start[n]).tolist(), v[nz].tolist()))
+            values = v[nz].tolist()
+            if self.space.exact:
+                values = [self.scale * c for c in values]
+            out.update(zip((nz + self.space.trees.start[n]).tolist(), values))
         return out
 
     def generations(self):
@@ -132,16 +197,20 @@ class DiagramState:
 
     def __add__(self, other):
         self._check_space(other)
-        out = dict(self.gens)
-        for n, v in other.gens.items():
-            out[n] = out[n] + v if n in out else v
-        return DiagramState(self.space, out)
+        scale, a, b = _common_scale(self.scale, other.scale)
+        return DiagramState(self.space, _lincomb(self.gens, a, other.gens, b), scale)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        return DiagramState(self.space, {n: v * scalar for n, v in self.gens.items()})
+        if not self.space.exact:
+            return DiagramState(self.space, {n: v * scalar for n, v in self.gens.items()})
+        if not isinstance(scalar, numbers.Rational):
+            raise ValidationError(f"exact diagram states take rational scalars, got {scalar!r}")
+        if not scalar:
+            return DiagramState(self.space, {}, Fraction(1))
+        return DiagramState(self.space, self.gens, self.scale * scalar)
 
     __rmul__ = __mul__
 
@@ -150,15 +219,22 @@ class DiagramState:
         self._check_space(other)
         if not c:
             return
-        for n, v in other.gens.items():
-            self.gens[n] = self.gens[n] + c * v if n in self.gens else c * v
+        if self.space.exact:
+            other = other * c   # checks c; an exact product only moves the scale
+            self.scale, a, b = _common_scale(self.scale, other.scale)
+        else:
+            a, b = 1, c
+        self.gens = _lincomb(self.gens, a, other.gens, b)
 
     def inner(self, other):
         """G-weighted inner product, conjugate-linear in self."""
         self._check_space(other)
-        w = self.space.weights
-        return sum(_wdot(v, other.gens[n], w(n))
-                   for n, v in sorted(self.gens.items()) if n in other.gens)
+        dot = self.space.gen_dot
+        total = sum(dot(n, v, other.gens[n])
+                    for n, v in sorted(self.gens.items()) if n in other.gens)
+        if self.space.exact:
+            total *= self.scale * other.scale
+        return total
 
     def norm_sq(self):
         return self.inner(self).real
@@ -188,16 +264,26 @@ def l_plus_apply(state: DiagramState) -> DiagramState:
     out = {}
     for n, x in state.gens.items():
         step = t.successors(n)
-        out[n + 1] = _scatter(step.cols, step.mult * x[step.rows], t.count(n + 1))
-    return DiagramState(space, out)
+        if space.exact:
+            # about two edges in three have m = 1; their gathered ints are
+            # added as they are instead of being copied by a product
+            values = x[step.rows]
+            big = np.flatnonzero(step.mult != 1)
+            values[big] = step.mult[big] * values[big]
+        else:
+            values = step.mult * x[step.rows]
+        out[n + 1] = _scatter(step.cols, values, t.count(n + 1))
+    return DiagramState(space, out, state.scale)
 
 
 def l_minus_apply(state: DiagramState) -> DiagramState:
     """Adjoint of l_plus under the G-weighted inner product.
 
-    Matrix element from S down to T is m(S -> T) G(S)/G(T).  In the strict
-    large-q engine the transition from the single arc back to the bare
-    fermion carries the vanishing weight 2/q and is dropped.
+    Matrix element from S down to T is m(S -> T) G(S)/G(T), which equals
+    the arc weight times the integer a(T -> S) slot(S)/slot(T); exact
+    spaces scatter those integers and carry the arc weight in the scale.
+    In the strict large-q engine the transition from the single arc back
+    to the bare fermion carries the vanishing weight 2/q and is dropped.
     """
     space = state.space
     t = space.trees
@@ -207,9 +293,13 @@ def l_minus_apply(state: DiagramState) -> DiagramState:
         if n == 0 or (n == 1 and space.q is None):
             continue
         step = t.predecessors(n)
-        down = _scatter(step.rows, step.mult * (w(n) * y)[step.cols], t.count(n - 1))
-        out[n - 1] = down / w(n - 1)
-    return DiagramState(space, out)
+        if space.exact:
+            out[n - 1] = _scatter(step.rows, space.removal_factors(n) * y[step.cols],
+                                  t.count(n - 1))
+        else:
+            down = _scatter(step.rows, step.mult * (w(n) * y)[step.cols], t.count(n - 1))
+            out[n - 1] = down / w(n - 1)
+    return DiagramState(space, out, state.scale * space.arc_weight if space.exact else 1)
 
 
 def hamiltonian_apply(state: DiagramState) -> DiagramState:
@@ -223,8 +313,8 @@ def make_dissipative_apply(space: DiagramSpace, mu: float):
     Uses the concentrated operator size of each tree generation, which is
     where the closed-form dissipator applies at large N.
     """
-    if space.q is None:
-        raise ValidationError("dissipative diagram evolution needs finite q")
+    if space.q is None or space.exact:
+        raise ValidationError("dissipative diagram evolution needs finite q in floats")
     qm2 = space.q - 2
 
     def apply(state):
@@ -272,14 +362,15 @@ def size_distribution(state: DiagramState, q=None, normalize=False):
         q = space.q
     if q is None:
         raise ValidationError("supply q to label sizes of a large-q state")
-    by_size = {(q - 2) * n + 1: _wdot(v, v, space.weights(n)).real
+    by_size = {(q - 2) * n + 1: space.gen_dot(n, v, v).real
                for n, v in sorted(state.gens.items()) if np.count_nonzero(v)}
     if not by_size:
         raise ValidationError("empty diagram state")
     total = sum(by_size.values())
-    if not normalize and abs(float(total) - 1.0) > 1e-6:
+    norm_sq = total * state.scale ** 2
+    if not normalize and abs(float(norm_sq) - 1.0) > 1e-6:
         raise NormalizationError(
-            f"state norm^2 = {float(total)!r}; pass normalize=True for raw states")
+            f"state norm^2 = {float(norm_sq)!r}; pass normalize=True for raw states")
     probs = {s: p / total for s, p in by_size.items()}
     mean = sum(s * p for s, p in probs.items())
     var = sum((s - mean) ** 2 * p for s, p in probs.items())

@@ -1,52 +1,31 @@
 """Moment method for Krylov chains.
 
-Two transforms, both in exact arithmetic when the inputs are exact:
+Two transforms:
 
 * ``moments_from_g``: Taylor moments of the large-q autocorrelation as
-  polynomials in u = i*mu_tilde, obtained by solving the Liouville-type
-  series recursion for f = e^(g/2) (f'' = alpha^2 f - 2 f^3 with J = 1).
+  polynomials in u = i*mu_tilde with rational coefficients, from the
+  Liouville-type equation for f = e^(g/2) (f_tt = alpha^2 f - 2 f^3 with
+  J = 1).  Its exponential-series recursion runs on integer polynomials in
+  v = u/2, with Fractions only in the returned coefficients.
 * ``moments_to_tridiagonal``: modified-Chebyshev style recursion from
   moments to Jacobi coefficients a_n, b_n^2.
 
 The moment-to-coefficient recursion is catastrophically ill-conditioned in
-floating point beyond n ~ 10, which is why everything here is ring-generic:
-Fraction, sympy exact numbers, and plain complex all work.
+floating point beyond n ~ 10, which is why it is ring-generic: Fraction,
+sympy exact numbers, and plain complex all work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .errors import MomentDegeneracyError, ValidationError
 from .krylov import TridiagonalCoeffs
 
 # ---------------------------------------------------------------------------
-# dense Fraction polynomials in u (coefficient tuples, index = power)
-
-_ZERO = ()
-
-
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    return tuple(c + q[i] if i < len(q) else c for i, c in enumerate(p))
-
-
-def _pscale(p, s):
-    return tuple(c * s for c in p)
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return _ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
+# integer polynomials in v = u/2 (coefficient lists, index = power)
 
 
 def _ptrim(p):
@@ -54,6 +33,20 @@ def _ptrim(p):
     while n and p[n - 1] == 0:
         n -= 1
     return p[:n]
+
+
+def _binomial_product(p, q, k):
+    """sum_i C(k, i) p_i q_(k-i), i = 0..k: the k-th exponential-series
+    coefficient of p*q, for lists p and q of integer polynomials."""
+    out = [0] * max(len(p[i]) + len(q[k - i]) - 1 for i in range(k + 1))
+    for i in range(k + 1):
+        c = comb(k, i)
+        for a, pa in enumerate(p[i]):
+            if pa:
+                pa *= c
+                for b, qb in enumerate(q[k - i], a):
+                    out[b] += pa * qb
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,44 +92,37 @@ def moments_from_g(n_max: int):
     Returns a list indexed by n: entry 0 is the normalization moment
     m_0 = 1, entry n >= 1 is mt_n (the physical moment is m_n = (2/q) mt_n).
 
-    Works in the variable x = it: with J = 1 the function f = e^(g/2)
-    satisfies f'' = alpha^2 f - 2 f^3, alpha^2 = 1 - u^2/4, f(0) = 1,
-    f'(0) = iu/2, so the x-series of f has real rational polynomial
-    coefficients r_k and the series recursion is exact.
+    Works in v = u/2 and the variable x = it, where d^2/dx^2 = -d^2/dt^2:
+    with J = 1 the function f = e^(g/2) satisfies
+    f'' = -[(1 - v^2) f - 2 f^3] in x, f(0) = 1 and f'(0) = v.  So the
+    exponential-series coefficients F_k = k! [x^k] f are integer polynomials
+    in v, F_(k+2) = 2 (F^3)_k - (1 - v^2) F_k, with (F^3)_k the
+    binomial-weighted convolution.  H = f'/f follows from
+    sum_i C(k, i) H_i F_(k-i) = F_(k+1), and g = 2 log f makes
+    mt_n = H_(n-1), whose coefficient on u^j is that on v^j over 2^j.
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     if n_max > 64:
         raise ValidationError("n_max above 64 not supported (series cost)")
-    alpha_sq = (Fraction(1), Fraction(0), Fraction(-1, 4))
-    r = [(Fraction(1),), (Fraction(0), Fraction(1, 2))]
+    f = [[1], [0, 1]]
     f2 = []
-    f3 = []
-    for k in range(n_max + 1):
-        if k >= 2 and k >= len(r):
-            num = _padd(_pmul(alpha_sq, r[k - 2]), _pscale(f3[k - 2], Fraction(-2)))
-            r.append(_pscale(num, Fraction(-1, (k - 1) * k)))
-        rk = r[k] if k < len(r) else _ZERO
-        acc2 = _ZERO
-        for i in range(k + 1):
-            acc2 = _padd(acc2, _pmul(r[i] if i < len(r) else _ZERO,
-                                     r[k - i] if k - i < len(r) else _ZERO))
-        f2.append(acc2)
-        acc3 = _ZERO
-        for i in range(k + 1):
-            acc3 = _padd(acc3, _pmul(f2[i], r[k - i] if k - i < len(r) else _ZERO))
-        f3.append(acc3)
-    # g = 2 log f via h = f'/f, solved from h * f = f' (f_0 = 1)
+    for k in range(n_max - 1):
+        f2.append(_binomial_product(f, f, k))
+        nxt = [2 * c for c in _binomial_product(f2, f, k)] + [0, 0]
+        for j, c in enumerate(f[k]):
+            nxt[j] -= c
+            nxt[j + 2] += c
+        f.append(nxt)
     h = []
     for k in range(n_max):
-        hk = _pscale(r[k + 1], Fraction(k + 1))
-        for i in range(k):
-            hk = _padd(hk, _pscale(_pmul(h[i], r[k - i]), Fraction(-1)))
-        h.append(hk)
+        h.append([0])   # the i = k term of the sum is H_k F_0 = H_k
+        rest = _binomial_product(h, f, k)
+        h[k] = [c - rest[j] if j < len(rest) else c for j, c in enumerate(f[k + 1])]
     out = [MomentPolynomial((Fraction(1),))]
-    for n in range(1, n_max + 1):
-        g_n = _pscale(h[n - 1], Fraction(2, n))
-        out.append(MomentPolynomial(_ptrim(_pscale(g_n, Fraction(factorial(n), 2)))))
+    for hk in h:
+        out.append(MomentPolynomial(tuple(Fraction(c, 2 ** j)
+                                          for j, c in enumerate(_ptrim(hk)))))
     return out
 
 
@@ -157,13 +143,15 @@ class MomentSequence:
         return self.values[n]
 
 
-def large_q_moment_sequence(q: int, mu_tilde, n_max: int) -> MomentSequence:
+def large_q_moment_sequence(q: int, mu_tilde, n_max: int, polys=None) -> MomentSequence:
     """Physical moments m_n = (2/q) mt_n(u = i*mu_tilde) of the large-q model.
 
     Exact when mu_tilde is an exact type (Fraction times sympy.I works);
-    complex floats otherwise.
+    complex floats otherwise.  polys, when given, is a ``moments_from_g``
+    result reaching at least n_max, and is used instead of recomputing it.
     """
-    polys = moments_from_g(n_max)
+    if polys is None:
+        polys = moments_from_g(n_max)
     u = 1j * mu_tilde if isinstance(mu_tilde, (int, float)) else mu_tilde
     values = [1] + [(2 * polys[n](u)) / q for n in range(1, n_max + 1)]
     return MomentSequence(values=values)

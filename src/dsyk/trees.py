@@ -29,8 +29,9 @@ VACUUM = 0
 ROOT = 1
 
 # memory per tree of a whole Lanczos run, rounded up from the heaviest one
-# measured: the exact q = 4 run to n = 17 peaked at 846 MB RSS for 527,024
-# trees (1,600 bytes each); float q = 4 to n = 15 traced 1,100 bytes per tree
+# measured: the exact q = 4 run to n = 18 peaked at 2,166 MB RSS for
+# 1,357,243 trees (1,700 bytes each; to n = 17, 818 MB for 527,024); float
+# q = 4 to n = 15 traced 1,100 bytes per tree
 TREE_BYTES = 2_000
 
 

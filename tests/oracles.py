@@ -10,6 +10,7 @@ transforms, the continuum crossover forms and small operator utilities.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -20,7 +21,7 @@ import sympy as sp
 from dsyk.errors import FitError, ValidationError
 from dsyk.krylov import TridiagonalCoeffs
 from dsyk.majorana import OperatorVector
-from dsyk.moments import MomentSequence, _is_zero
+from dsyk.moments import MomentPolynomial, MomentSequence, _is_zero
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -542,6 +543,65 @@ def dagger(o):
 def has_parity_of(poly, n: int) -> bool:
     """True when only powers u^n, u^(n-2), ... appear in a MomentPolynomial."""
     return all(c == 0 for k, c in enumerate(poly.coeffs) if (k - n) % 2)
+
+
+def _padd(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(c + q[i] if i < len(q) else c for i, c in enumerate(p))
+
+
+def _pscale(p, s):
+    return tuple(c * s for c in p)
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def series_moments_from_g(n_max: int):
+    """The moment polynomials mt_0..mt_n_max from Fraction Taylor series.
+
+    f = e^(g/2) obeys f_tt = alpha^2 f - 2 f^3 with alpha^2 = 1 - u^2/4.  In
+    x = it, where f_xx = -f_tt, f(0) = 1 and f_x(0) = u/2, so the ordinary
+    x-series coefficients r_k of f are Fraction polynomials in u.  Then
+    g = 2 log f through h = f_x/f, and mt_n = n! g_n / 2.
+    """
+    alpha_sq = (Fraction(1), Fraction(0), Fraction(-1, 4))
+    r = [(Fraction(1),), (Fraction(0), Fraction(1, 2))]
+    f2, f3 = [], []
+    for k in range(n_max + 1):
+        if k >= 2:
+            num = _padd(_pmul(alpha_sq, r[k - 2]), _pscale(f3[k - 2], Fraction(-2)))
+            r.append(_pscale(num, Fraction(-1, (k - 1) * k)))
+        acc2 = ()
+        for i in range(k + 1):
+            acc2 = _padd(acc2, _pmul(r[i], r[k - i]))
+        f2.append(acc2)
+        acc3 = ()
+        for i in range(k + 1):
+            acc3 = _padd(acc3, _pmul(f2[i], r[k - i]))
+        f3.append(acc3)
+    h = []
+    for k in range(n_max):
+        hk = _pscale(r[k + 1], Fraction(k + 1))
+        for i in range(k):
+            hk = _padd(hk, _pscale(_pmul(h[i], r[k - i]), Fraction(-1)))
+        h.append(hk)
+    out = [MomentPolynomial((Fraction(1),))]
+    for n in range(1, n_max + 1):
+        mt = list(_pscale(_pscale(h[n - 1], Fraction(2, n)), Fraction(factorial(n), 2)))
+        while mt and mt[-1] == 0:
+            mt.pop()
+        out.append(MomentPolynomial(tuple(mt)))
+    return out
 
 
 def _series_mul(p, q, order):

@@ -83,6 +83,76 @@ def test_l_minus_is_adjoint_of_l_plus(sp_state, data):
     assert lhs == rhs
 
 
+fractions = st.builds(Fraction, st.integers(min_value=-40, max_value=40),
+                      st.integers(min_value=1, max_value=12))
+
+
+def exact_terms(space, n_arcs=5):
+    """Random {tree id: Fraction} over the trees with at most n_arcs arcs."""
+    return st.dictionaries(st.integers(0, space.trees.ids(n_arcs).stop - 1), fractions,
+                           max_size=8)
+
+
+def nonzero(terms):
+    return {i: c for i, c in terms.items() if c}
+
+
+def dict_axpy(x, c, y):
+    out = dict(x)
+    for i, v in y.items():
+        out[i] = out.get(i, 0) + c * v
+    return nonzero(out)
+
+
+def dict_inner(space, x, y):
+    """sum x_T G(T) y_T with G(T) = w^n slot(T)/|Aut T| taken one tree at a time."""
+    t = space.trees
+    return sum(x[i] * Fraction(space.arc_weight) ** t.generation_of(i)
+               * Fraction(t.slot[i], t.aut[i]) * y[i] for i in x if i in y)
+
+
+def assert_integer_arrays(state):
+    assert all(type(c) is int for v in state.gens.values() for c in v.tolist())
+
+
+@pytest.mark.parametrize("q", [4, None])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_state_arithmetic_matches_fraction_dicts(q, data):
+    sp = DiagramSpace(q=q, exact=True)
+    xt, yt = data.draw(exact_terms(sp)), data.draw(exact_terms(sp))
+    c = data.draw(fractions)
+    x, y = sp.state(xt), sp.state(yt)
+    z = sp.state(xt)
+    z.iaxpy(c, y)
+    results = {
+        "x": (x, nonzero(xt)),
+        "x + y": (x + y, dict_axpy(xt, 1, yt)),
+        "x - y": (x - y, dict_axpy(xt, -1, yt)),
+        "c * x": (c * x, dict_axpy({}, c, xt)),
+        "x * c": (x * c, dict_axpy({}, c, xt)),
+        "x += c y": (z, dict_axpy(xt, c, yt)),
+        "L+ x": (l_plus_apply(sp.state({i: v for i, v in xt.items()
+                                        if sp.trees.generation_of(i) == 3})), None),
+        "L- x": (l_minus_apply(x), None),
+    }
+    for name, (state, expect) in results.items():
+        assert_integer_arrays(state)
+        if expect is not None:
+            assert state.terms == expect, name
+    assert x.inner(y) == dict_inner(sp, xt, yt)
+    assert z.inner(x + y) == dict_inner(sp, dict_axpy(xt, c, yt), dict_axpy(xt, 1, yt))
+    assert x.terms == nonzero(xt)   # no operation wrote into x's arrays
+
+
+def test_exact_states_take_rational_scalars_only():
+    sp = DiagramSpace(q=4, exact=True)
+    with pytest.raises(ValidationError):
+        sp.root_state() * 0.5
+    with pytest.raises(ValidationError):
+        make_dissipative_apply(sp, 0.1)
+
+
 def test_large_q_requires_homogeneous_generations():
     sp = DiagramSpace(q=None)
     mixed = sp.vacuum_state() + sp.root_state()

@@ -15,7 +15,8 @@ from dsyk.moments import (
     moments_from_g,
     moments_to_tridiagonal,
 )
-from oracles import has_parity_of, jacobi_moments, tridiagonal_to_series
+from oracles import (
+    has_parity_of, jacobi_moments, series_moments_from_g, tridiagonal_to_series)
 
 F = Fraction
 
@@ -36,6 +37,15 @@ def test_moment_polynomial_table():
     polys = moments_from_g(8)
     for n, coeffs in MT_TABLE.items():
         assert polys[n] == MomentPolynomial(tuple(F(c) for c in coeffs))
+
+
+def test_integer_recursion_matches_fraction_series():
+    # the integer exponential-series recursion against the Fraction Taylor
+    # series it replaced: equal polynomials, printed identically
+    fast, ref = moments_from_g(40), series_moments_from_g(40)
+    assert fast == ref
+    for p, r in zip(fast, ref):
+        assert [str(c) for c in p.coeffs] == [str(c) for c in r.coeffs]
 
 
 def test_moment_polynomial_parity():
