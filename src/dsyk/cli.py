@@ -191,7 +191,7 @@ def cmd_large_n(args):
               ["n", "re_a", "im_a", "b_sq"], rows)
     srows = []
     for n, state in enumerate(basis):
-        probs, mean, std = size_distribution(state, q=q or args.q, normalize=True)
+        probs, mean, std = size_distribution(state, q=q or args.q)
         for s, p in sorted(probs.items()):
             if float(p) < 1e-30:   # numerical dust from float orthogonalization
                 continue

@@ -17,10 +17,6 @@ class IncompatibleOperatorsError(ValidationError):
     """Operators live on different Majorana spaces (mismatched N)."""
 
 
-class NormalizationError(ValidationError):
-    """Operation requires a unit-norm state."""
-
-
 class ResourceLimitError(DsykError):
     """A configured resource guard was exceeded. CLI exit code 3."""
 

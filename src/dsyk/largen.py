@@ -14,12 +14,12 @@ drop out.  With J_script^2 = 1/2 the large-q identities are exact rational
 statements and are computed as such.
 
 A state holds one 1-D array per generation, indexed by position within
-that generation's contiguous tree ids.  In float spaces the arrays are
-float64 (complex128 once a complex scalar enters) and hold the
-coefficients.  In exact spaces they hold Python ints, which cannot
-overflow, and one rational scale multiplies the whole state; the inner
-product then takes one Fraction per generation, not one per tree, so exact
-runs stay exact at integer speed.
+that generation's contiguous tree ids, and one scale that multiplies the
+whole state.  Both rings run the same arithmetic: in float spaces the
+arrays are float64 (complex128 once the dissipator enters) and the scale a
+float; in exact spaces the arrays hold Python ints, which cannot overflow,
+and the scale is a Fraction, so the inner product takes one Fraction per
+generation, not one per tree, and exact runs stay exact at integer speed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NormalizationError, ValidationError
+from .errors import ValidationError
 from .krylov import TridiagonalCoeffs, lanczos
 from .trees import TreeSpace
 
@@ -44,11 +44,13 @@ def _default_j_sq(q):
 
 
 def _common_scale(s, t):
-    """(c, s/c, t/c) for two rational scales: c is the gcd of their
-    numerators over the lcm of their denominators, so both quotients are
-    integers."""
+    """(c, s/c, t/c) for two scales.  For rational scales c is the gcd of
+    their numerators over the lcm of their denominators, so both quotients
+    are integers; for float scales c is s."""
     if s == t:
         return s, 1, 1
+    if not isinstance(s, Fraction):
+        return s, 1, t / s
     g = math.gcd(s.numerator, t.numerator)
     d = math.lcm(s.denominator, t.denominator)
     return (Fraction(g, d), s.numerator // g * (d // s.denominator),
@@ -56,14 +58,14 @@ def _common_scale(s, t):
 
 
 def _lincomb(x, a, y, b):
-    """{n: a x_n + b y_n} over the generations of x and y; a or b equal to 1
-    is not applied."""
+    """{n: a x_n + b y_n} over the generations of x and y, without those
+    that cancel to zero; a or b equal to 1 is not applied."""
     out = dict(x) if a == 1 else {n: v * a for n, v in x.items()}
     for n, v in y.items():
         if b != 1:
             v = b * v
         out[n] = out[n] + v if n in out else v
-    return out
+    return {n: v for n, v in out.items() if v.any()}
 
 
 class DiagramSpace:
@@ -86,14 +88,13 @@ class DiagramSpace:
         self.trees = TreeSpace(q=q)
         self._g = []
         self._g_unit = []
-        self._down = []
 
     def weights(self, n):
-        """G of every tree in generation n, as one array.
+        """G of every tree in generation n, as one array over its unit.
 
-        In an exact space these are the integers D_n slot(T)/|Aut T|, D_n
-        the lcm of the generation's |Aut|, and G is that array times the
-        rational w^n / D_n.
+        In a float space the unit is 1.0.  In an exact space the array holds
+        the integers D_n slot(T)/|Aut T|, D_n the lcm of the generation's
+        |Aut|, and the unit is the rational w^n / D_n.
         """
         t = self.trees
         while len(self._g) <= n:
@@ -107,36 +108,22 @@ class DiagramSpace:
                 self._g_unit.append(wk / d)
             else:
                 g = wk * np.array(slot, dtype=float) / np.array(aut, dtype=float)
+                self._g_unit.append(1.0)
             self._g.append(g)
         return self._g[n]
 
     def gen_dot(self, n, x, y):
         """sum conj(x) G y over generation n (state scales not applied)."""
-        g = self.weights(n)
-        if self.exact:
-            return self._g_unit[n] * np.dot(x, g * y)
-        return np.vdot(x, g * y)
-
-    def removal_factors(self, n):
-        """Per edge of the step into generation n (CSR order), the integer
-        a(T -> S) slot(S)/slot(T): L_-'s matrix element m(S -> T) G(S)/G(T)
-        over the arc weight."""
-        t = self.trees
-        while len(self._down) < n:
-            k = len(self._down) + 1
-            step = t.predecessors(k)
-            lo, hi = t.start[k - 1], t.start[k]
-            slot = np.array(t.slot[lo:t.start[k + 1]], dtype=float)
-            # slot(S)/slot(T) is q - 1 minus the child count of the vertex the
-            # leaf grew on, and this float quotient lies within ~1e-16 of it
-            ratio = np.rint(slot[hi - lo + step.cols] / slot[step.rows]).astype(np.int64)
-            self._down.append((step.attach * ratio).astype(object))
-        return self._down[n - 1]
+        g = self.weights(n)   # fills _g_unit[n] too
+        # only complex arrays need vdot's conjugation, which calls
+        # int.conjugate per entry of an exact state: 3.5x np.dot on 30-bit ints
+        dot = np.vdot if np.iscomplexobj(x) else np.dot
+        return self._g_unit[n] * dot(x, g * y)
 
     def state(self, terms):
         """The state with coefficients {tree id: c}."""
         t = self.trees
-        scale = 1
+        scale = self._one()
         if self.exact:
             scale = Fraction(1, math.lcm(*(Fraction(c).denominator for c in terms.values())))
             terms = {i: int(c / scale) for i, c in terms.items()}
@@ -146,7 +133,7 @@ class DiagramSpace:
             if n not in gens:
                 gens[n] = np.zeros(t.count(n), dtype=object if self.exact else float)
             gens[n][i - t.start[n]] = c
-        return DiagramState(self, gens, scale)
+        return DiagramState(self, {n: v for n, v in gens.items() if v.any()}, scale)
 
     def _one(self):
         return Fraction(1) if self.exact else 1.0
@@ -162,16 +149,16 @@ class DiagramState:
     """Weighted sum of canonical trees: scale times {generation: coefficient array}.
 
     Supports the vector interface of the Krylov builders; the inner product
-    carries the diagram norms G(T).  A float state's arrays hold its
-    coefficients and its scale is 1.  An exact state holds Python-int
-    arrays and one rational scale, so a scalar product only changes the
-    scale, and a sum first brings both operands to a common scale.  Arrays
-    are never written in place, so states may share them.
+    carries the diagram norms G(T).  A float state's scale is a float that
+    starts at 1.0; an exact state holds Python-int arrays and a rational
+    scale.  A scalar product only changes the scale, and a sum first brings
+    both operands to a common scale and drops the generations that cancel
+    to zero.  Arrays are never written in place, so states may share them.
     """
 
     __slots__ = ("space", "gens", "scale")
 
-    def __init__(self, space, gens, scale=1):
+    def __init__(self, space, gens, scale):
         self.space = space
         self.gens = gens
         self.scale = scale
@@ -182,14 +169,12 @@ class DiagramState:
         out = {}
         for n, v in sorted(self.gens.items()):
             nz = np.flatnonzero(v)
-            values = v[nz].tolist()
-            if self.space.exact:
-                values = [self.scale * c for c in values]
-            out.update(zip((nz + self.space.trees.start[n]).tolist(), values))
+            out.update(zip((nz + self.space.trees.start[n]).tolist(),
+                           [self.scale * c for c in v[nz].tolist()]))
         return out
 
     def generations(self):
-        return sorted(n for n, v in self.gens.items() if np.count_nonzero(v))
+        return sorted(self.gens)
 
     def _check_space(self, other):
         if not isinstance(other, DiagramState) or other.space is not self.space:
@@ -204,12 +189,10 @@ class DiagramState:
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        if not self.space.exact:
-            return DiagramState(self.space, {n: v * scalar for n, v in self.gens.items()})
-        if not isinstance(scalar, numbers.Rational):
+        if self.space.exact and not isinstance(scalar, numbers.Rational):
             raise ValidationError(f"exact diagram states take rational scalars, got {scalar!r}")
         if not scalar:
-            return DiagramState(self.space, {}, Fraction(1))
+            return DiagramState(self.space, {}, self.space._one())
         return DiagramState(self.space, self.gens, self.scale * scalar)
 
     __rmul__ = __mul__
@@ -219,11 +202,8 @@ class DiagramState:
         self._check_space(other)
         if not c:
             return
-        if self.space.exact:
-            other = other * c   # checks c; an exact product only moves the scale
-            self.scale, a, b = _common_scale(self.scale, other.scale)
-        else:
-            a, b = 1, c
+        other = other * c   # checks c; a product only moves the scale
+        self.scale, a, b = _common_scale(self.scale, other.scale)
         self.gens = _lincomb(self.gens, a, other.gens, b)
 
     def inner(self, other):
@@ -232,9 +212,7 @@ class DiagramState:
         dot = self.space.gen_dot
         total = sum(dot(n, v, other.gens[n])
                     for n, v in sorted(self.gens.items()) if n in other.gens)
-        if self.space.exact:
-            total *= self.scale * other.scale
-        return total
+        return total * (self.scale.conjugate() * other.scale)
 
     def norm_sq(self):
         return self.inner(self).real
@@ -264,14 +242,11 @@ def l_plus_apply(state: DiagramState) -> DiagramState:
     out = {}
     for n, x in state.gens.items():
         step = t.successors(n)
-        if space.exact:
-            # about two edges in three have m = 1; their gathered ints are
-            # added as they are instead of being copied by a product
-            values = x[step.rows]
-            big = np.flatnonzero(step.mult != 1)
-            values[big] = step.mult[big] * values[big]
-        else:
-            values = step.mult * x[step.rows]
+        # about two edges in three have m = 1; their gathered values are
+        # added as they are instead of being copied by a product
+        values = x[step.rows]
+        big = np.flatnonzero(step.mult != 1)
+        values[big] = step.mult[big] * values[big]
         out[n + 1] = _scatter(step.cols, values, t.count(n + 1))
     return DiagramState(space, out, state.scale)
 
@@ -280,26 +255,20 @@ def l_minus_apply(state: DiagramState) -> DiagramState:
     """Adjoint of l_plus under the G-weighted inner product.
 
     Matrix element from S down to T is m(S -> T) G(S)/G(T), which equals
-    the arc weight times the integer a(T -> S) slot(S)/slot(T); exact
-    spaces scatter those integers and carry the arc weight in the scale.
+    the arc weight times the integer a(T -> S) slot(S)/slot(T) (Step.down);
+    those integers are scattered and the arc weight goes into the scale.
     In the strict large-q engine the transition from the single arc back
     to the bare fermion carries the vanishing weight 2/q and is dropped.
     """
     space = state.space
     t = space.trees
-    w = space.weights
     out = {}
     for n, y in state.gens.items():
         if n == 0 or (n == 1 and space.q is None):
             continue
         step = t.predecessors(n)
-        if space.exact:
-            out[n - 1] = _scatter(step.rows, space.removal_factors(n) * y[step.cols],
-                                  t.count(n - 1))
-        else:
-            down = _scatter(step.rows, step.mult * (w(n) * y)[step.cols], t.count(n - 1))
-            out[n - 1] = down / w(n - 1)
-    return DiagramState(space, out, state.scale * space.arc_weight if space.exact else 1)
+        out[n - 1] = _scatter(step.rows, step.down * y[step.cols], t.count(n - 1))
+    return DiagramState(space, out, state.scale * space.arc_weight)
 
 
 def hamiltonian_apply(state: DiagramState) -> DiagramState:
@@ -319,7 +288,7 @@ def make_dissipative_apply(space: DiagramSpace, mu: float):
 
     def apply(state):
         diag = {n: 1j * mu * (qm2 * n + 1) * v for n, v in state.gens.items()}
-        return hamiltonian_apply(state) + DiagramState(space, diag)
+        return hamiltonian_apply(state) + DiagramState(space, diag, state.scale)
 
     return apply
 
@@ -350,12 +319,13 @@ def lanczos_large_n(q_mode, n_max, j_sq=None):
     return coeffs, basis
 
 
-def size_distribution(state: DiagramState, q=None, normalize=False):
+def size_distribution(state: DiagramState, q=None):
     """Operator-size weights of a Krylov basis diagram state.
 
-    Returns (P, mean, std) with P mapping s = (q-2) n_arcs + 1 to
-    probability.  q defaults to the space's q and must be supplied for
-    large-q states (where it only labels the sizes).
+    Returns (P, mean, std) with P mapping s = (q-2) n_arcs + 1 to its
+    probability, normalized by the state's norm.  q defaults to the
+    space's q and must be supplied for large-q states (where it only
+    labels the sizes).
     """
     space = state.space
     if q is None:
@@ -363,14 +333,10 @@ def size_distribution(state: DiagramState, q=None, normalize=False):
     if q is None:
         raise ValidationError("supply q to label sizes of a large-q state")
     by_size = {(q - 2) * n + 1: space.gen_dot(n, v, v).real
-               for n, v in sorted(state.gens.items()) if np.count_nonzero(v)}
+               for n, v in sorted(state.gens.items())}
     if not by_size:
         raise ValidationError("empty diagram state")
     total = sum(by_size.values())
-    norm_sq = total * state.scale ** 2
-    if not normalize and abs(float(norm_sq) - 1.0) > 1e-6:
-        raise NormalizationError(
-            f"state norm^2 = {float(norm_sq)!r}; pass normalize=True for raw states")
     probs = {s: p / total for s, p in by_size.items()}
     mean = sum(s * p for s, p in probs.items())
     var = sum((s - mean) ** 2 * p for s, p in probs.items())

@@ -7,9 +7,10 @@ the single arc.  Every other tree is stored as the sorted tuple of its
 children's ids (Aho-Hopcroft-Ullman), so two trees are isomorphic exactly
 when their child-id tuples are equal.  Generation n holds the trees with
 n arcs; it is built in one pass from generation n - 1 and its ids are
-contiguous.  Each step from generation n to n + 1 keeps the attach counts
-a(T -> S) as CSR-ordered edge arrays, and the removal multiplicities
-follow from them as m(S -> T) = a(T -> S) |Aut S| / |Aut T|.
+contiguous.  Each step from generation n to n + 1 keeps, as CSR-ordered
+edge arrays, the removal multiplicities m(S -> T) = a(T -> S) |Aut S| /
+|Aut T| and the integers a(T -> S) slot(S) / slot(T), from the attach
+counts a(T -> S) found while growing.
 """
 
 from __future__ import annotations
@@ -69,14 +70,16 @@ def attachments(kids, cap):
 class Step(NamedTuple):
     """Edges from generation n to n + 1 in CSR order (sorted by T).
 
-    rows and cols are positions within the two generations; attach holds
-    a(T -> S) and mult the removal multiplicity m(S -> T).
+    rows and cols are positions within the two generations; mult holds the
+    removal multiplicity m(S -> T), and down the integer
+    a(T -> S) slot(S)/slot(T): L_-'s matrix element m(S -> T) G(S)/G(T)
+    over the arc weight.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    attach: np.ndarray
     mult: np.ndarray
+    down: np.ndarray
 
 
 class TreeSpace:
@@ -190,6 +193,10 @@ class TreeSpace:
         rows = np.repeat(np.arange(hi - lo), [len(x) for x in succ])
         cols, attach = np.array([e for x in succ for e in x], dtype=np.int64).T.copy()
         aut = np.array(self.aut[lo:], dtype=float)
-        # m is a small integer and this float quotient lies within ~1e-16 of it
+        slot = np.array(self.slot[lo:], dtype=float)
+        # m and slot(S)/slot(T), which is q - 1 minus the child count of the
+        # vertex the leaf grew on, are small integers, and these float
+        # quotients lie within ~1e-16 of them
         mult = np.rint(attach * aut[cols - lo] / aut[rows]).astype(np.int64)
-        self.steps.append(Step(rows, cols - hi, attach, mult))
+        down = attach * np.rint(slot[cols - lo] / slot[rows]).astype(np.int64)
+        self.steps.append(Step(rows, cols - hi, mult, down))

@@ -216,7 +216,7 @@ def test_criterion_10_size_concentration():
     ratios = {}
     ok = True
     for n in range(1, 18):
-        probs, mean, std = size_distribution(basis[n], normalize=True)
+        probs, mean, std = size_distribution(basis[n])
         dominant = 2 * n + 1
         sub = sum(p for s, p in probs.items() if s != dominant)
         if n <= 4:

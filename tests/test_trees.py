@@ -165,7 +165,7 @@ def test_tree_counts_uncapped_are_a000081():
 @pytest.mark.parametrize("q", [4, 6, None])
 def test_id_graph_matches_nested_tuple_oracle(q):
     # every tree up to 9 arcs: the generation is the oracle's set of trees,
-    # each successor set, attach count, removal multiplicity, |Aut| and slot
+    # each successor set, removal multiplicity, L_- factor, |Aut| and slot
     # product agree
     sp = TreeSpace(q=q)
     cap = None if q is None else q - 1
@@ -180,10 +180,14 @@ def test_id_graph_matches_nested_tuple_oracle(q):
             break
         step = sp.successors(n)
         succ = {}
-        for t, s, a, m in zip(*(v.tolist() for v in step)):
+        for t, s, m, down in zip(*(v.tolist() for v in step)):
             s_enc = nested_tree(sp, sp.ids(n + 1)[s])
             succ.setdefault(encs[t], set()).add(s_enc)
-            assert a == attach_counts(encs[t], cap)[s_enc]
+            a = attach_counts(encs[t], cap)[s_enc]
+            # a(T -> S) slot(S)/slot(T); the slot ratio is 1 at q = None
+            ratio = 1 if q is None else (slot_factor_product(s_enc, q)
+                                         // slot_factor_product(encs[t], q))
+            assert down == a * ratio
             assert m == dict(leaf_removals(s_enc))[encs[t]]
         assert succ == {enc: set(attachments(enc, cap)) for enc in encs}
 
