@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    FitError, NumericalContractError, ResourceLimitError, ValidationError)
+    FitError, NumericalContractError, ResourceLimitError, ValidationError,
+    require_memory)
 from .majorana import OperatorVector, sample_syk
 from .lindblad import DissipativeModel, lindbladian_apply
 from .krylov import diagonal_slope_fit, hessenberg_error, lanczos
@@ -141,13 +142,9 @@ def _require_positive(*flags):
 
 def cmd_finite_n_arnoldi(args):
     _require_counts(("--nmax", args.nmax))
-    need = finite_n_bytes(args.n, args.nmax)
-    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > free:
-        raise ResourceLimitError(
-            f"N={args.n} with --nmax {args.nmax} needs about {need / 2 ** 30:.1f} GiB "
-            f"({args.nmax + 6} operators of 2^N complex entries); "
-            f"{free / 2 ** 30:.1f} GiB is available")
+    require_memory(finite_n_bytes(args.n, args.nmax),
+                   f"N={args.n} with --nmax {args.nmax}",
+                   f"{args.nmax + 6} operators of 2^N complex entries")
     out_dir = _out_dir(args)
     for seed in args.seed or [1]:
         tag = _run_finite_n(args, seed, out_dir)
@@ -254,10 +251,9 @@ def cmd_evolve(args):
     out_dir = _out_dir(args)
     p = MeixnerParams(u=args.u, eta=args.eta)
     n_trunc = meixner_n_trunc(p, args.tmax)
-    coeffs = meixner_tridiagonal(p, n_trunc + 1)
+    coeffs = meixner_tridiagonal(p, n_trunc)
     ts = np.linspace(0.0, args.tmax, args.points)
-    states = evolve_chain(coeffs, ts, n_trunc=n_trunc, rtol=args.dt_tol,
-                          atol=args.dt_tol * 1e-2)
+    states = evolve_chain(coeffs, ts, rtol=args.dt_tol, atol=args.dt_tol * 1e-2)
     manifest = _manifest(args, u=args.u, eta=args.eta, tmax=args.tmax,
                          n_trunc=n_trunc, rtol=args.dt_tol)
     rows = []

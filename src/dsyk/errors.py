@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the memory guard behind exit code 3.
 
 Three top-level families map onto the CLI exit codes: bad input (2),
 resource guards (3), and violated numerical contracts (4).
 """
+
+import os
 
 
 class DsykError(Exception):
@@ -19,6 +21,16 @@ class IncompatibleOperatorsError(ValidationError):
 
 class ResourceLimitError(DsykError):
     """A configured resource guard was exceeded. CLI exit code 3."""
+
+
+def require_memory(need, what, detail):
+    """Raise ResourceLimitError if need bytes exceed the memory the
+    operating system reports available."""
+    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > free:
+        raise ResourceLimitError(
+            f"{what} needs about {need / 2 ** 30:.1f} GiB ({detail}); "
+            f"{free / 2 ** 30:.1f} GiB is available")
 
 
 class NumericalContractError(DsykError):

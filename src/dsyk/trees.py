@@ -16,15 +16,15 @@ counts a(T -> S) found while growing.
 from __future__ import annotations
 
 import gc
-import os
 from bisect import bisect
 from functools import lru_cache
+from itertools import groupby
 from math import factorial, perm
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import require_memory
 
 VACUUM = 0
 ROOT = 1
@@ -138,7 +138,8 @@ class TreeSpace:
         self.kids.append(kids)
         aut = 1
         slot = 1 if self.cap is None else perm(self.cap, len(kids))
-        for _, c, k in leaf_removals(kids):
+        for c, run in groupby(kids):
+            k = len(list(run))
             aut *= self.aut[c] ** k * factorial(k)
             slot *= self.slot[c] ** k
         self.aut.append(aut)
@@ -171,13 +172,8 @@ class TreeSpace:
         """Build the generation after the newest one."""
         n = len(self.start) - 2
         lo, hi = self.start[n], self.start[n + 1]
-        need = self.next_generation_bytes()
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > free:
-            raise ResourceLimitError(
-                f"generation {n + 1} needs about {need / 2 ** 30:.1f} GiB "
-                f"({TREE_BYTES} bytes per projected tree); "
-                f"{free / 2 ** 30:.1f} GiB is available")
+        require_memory(self.next_generation_bytes(), f"generation {n + 1}",
+                       f"{TREE_BYTES} bytes per projected tree")
         # the build allocates a few tuples per edge and no reference cycles, so
         # the collector, which would trace them all, pauses until it ends
         enabled = gc.isenabled()

@@ -162,9 +162,9 @@ def test_criterion_08_ode_matches_closed_form():
     for u, t_max in ((0.0, 3.0), (0.01, 8.0), (0.1, 8.0)):
         p = MeixnerParams(u=u, eta=0.5)
         n_trunc = meixner_n_trunc(p, t_max)
-        c = meixner_tridiagonal(p, n_trunc + 1)
+        c = meixner_tridiagonal(p, n_trunc)
         grid = np.linspace(0.0, t_max, 9)
-        states = evolve_chain(c, grid, n_trunc=n_trunc)
+        states = evolve_chain(c, grid)
         for st in states:
             ref = meixner_wavefunction(np.arange(n_trunc + 1), st.t, p)
             worst = max(worst, float(np.max(np.abs(st.phi - ref))))
@@ -244,9 +244,9 @@ def test_criterion_11_saturation_scaling():
     for u, t_max in ((0.1, 8.0), (0.01, 8.0), (0.001, 6.0)):
         p = MeixnerParams(u=u, eta=eta)
         n_trunc = meixner_n_trunc(p, t_max)
-        c = meixner_tridiagonal(p, n_trunc + 1)
+        c = meixner_tridiagonal(p, n_trunc)
         grid = np.linspace(0.0, t_max, 61)
-        states = evolve_chain(c, grid, n_trunc=n_trunc, rtol=1e-9, atol=1e-11)
+        states = evolve_chain(c, grid, rtol=1e-9, atol=1e-11)
         ks = np.array([k_complexity_numeric(s)[0] for s in states])
         plateau = float(ks[-1])
         plateaus[u] = plateau

@@ -1,9 +1,11 @@
 """Packaging: the installed program needs numpy and scipy, and nothing else.
 
 sympy is the tests' exact-arithmetic reference and lives in the ``test``
-extra; no subcommand may import it.
+extra; no subcommand may import it.  The package catches only the errors
+it expects: no bare ``except:`` and no catch-all base class.
 """
 
+import ast
 import json
 import os
 import re
@@ -49,3 +51,17 @@ def test_runtime_dependencies_are_numpy_and_scipy():
              for d in project["dependencies"]}
     assert names == {"numpy", "scipy"}
     assert any(d.startswith("sympy") for d in project["optional-dependencies"]["test"])
+
+
+def test_no_catch_all_handlers():
+    broad = {"Exception", "BaseException"}
+    found = []
+    for path in sorted((ROOT / "src" / "dsyk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(c, ast.Name) and c.id in broad
+                                        for c in caught):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
