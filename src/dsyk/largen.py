@@ -104,10 +104,10 @@ class DiagramSpace:
             wk = self.arc_weight ** k
             if self.exact:
                 d = math.lcm(*aut)
-                g = np.array([s * (d // a) for s, a in zip(slot, aut)], dtype=object)
+                g = slot * (d // aut)
                 self._g_unit.append(wk / d)
             else:
-                g = wk * np.array(slot, dtype=float) / np.array(aut, dtype=float)
+                g = wk * slot.astype(float) / aut.astype(float)
                 self._g_unit.append(1.0)
             self._g.append(g)
         return self._g[n]

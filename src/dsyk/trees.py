@@ -3,39 +3,44 @@
 Each vertex represents one interaction arc of an open melon diagram; a
 growth step attaches one new leaf somewhere, a contraction removes one
 childless vertex.  Id 0 is the empty diagram (the bare fermion) and id 1
-the single arc.  Every other tree is stored as the sorted tuple of its
-children's ids (Aho-Hopcroft-Ullman), so two trees are isomorphic exactly
-when their child-id tuples are equal.  Generation n holds the trees with
-n arcs; it is built in one pass from generation n - 1 and its ids are
-contiguous.  Each step from generation n to n + 1 keeps, as CSR-ordered
-edge arrays, the removal multiplicities m(S -> T) = a(T -> S) |Aut S| /
-|Aut T| and the integers a(T -> S) slot(S) / slot(T), from the attach
-counts a(T -> S) found while growing.
+the single arc.  Every other tree is the sorted list of its children's ids
+(Aho-Hopcroft-Ullman), so two trees are isomorphic exactly when their child
+ids are equal.  Generation n holds the trees with n arcs, as one matrix
+with a row of child ids per tree, padded with leading zeros: a zero is a
+free slot of the root, where the single arc, the only successor of the
+empty diagram, can grow.  Each generation is built from the one before in
+a few whole-array passes and its ids are contiguous.  Each step from
+generation n to n + 1 keeps, as CSR-ordered edge arrays, the removal
+multiplicities m(S -> T) = a(T -> S) |Aut S| / |Aut T| and the integers
+a(T -> S) slot(S) / slot(T), a(T -> S) the number of ways to attach a leaf
+to T that give S.  Growing inside a child c of T multiplies c's own edge
+integers, so they follow from earlier steps without any |Aut|.
 """
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect
 from functools import lru_cache
-from itertools import groupby
-from math import factorial, perm
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import require_memory
+from .errors import NumericalContractError, require_memory
 
 VACUUM = 0
 ROOT = 1
 
 # memory per tree of a whole Lanczos run, rounded up from the heaviest one
-# measured: the exact q = 4 run to n = 18 peaked at 2,166 MB RSS for
-# 1,357,243 trees (1,700 bytes each; to n = 17, 818 MB for 527,024); float
-# q = 4 to n = 15 traced 1,100 bytes per tree
-TREE_BYTES = 2_000
+# measured: the exact q = 4 run to n = 18 peaked at 909 MB RSS for
+# 1,357,243 trees (702 bytes each); the float run to n = 18 at 521 MB
+# (403 bytes each)
+TREE_BYTES = 750
 
 
+# The two cached tuple helpers below are the reference site enumeration:
+# _grow checks the first tree of every generation against attachments.
+# bench/spans.py reads their cache_info() as trees.cache_hit_ratio, so they
+# go, with that check, in the same change that retires the metric there.
 @lru_cache(maxsize=None)
 def leaf_removals(kids):
     """(rest, c, k) for each distinct child id c of a tree, k its multiplicity.
@@ -82,6 +87,40 @@ class Step(NamedTuple):
     down: np.ndarray
 
 
+def _ramp(counts):
+    """0, 1, ..., c - 1 for each c in counts, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+
+
+def _first_rows(rows):
+    """(index of the first copy of each distinct row, in order of appearance;
+    for every row, the rank of its distinct row in that order)."""
+    # pack the columns into as few int64 words as the largest id allows
+    bits = max(int(rows.max()).bit_length(), 1)
+    per = 63 // bits
+    words = []
+    for lo in range(0, rows.shape[1], per):
+        word = np.zeros(len(rows), dtype=np.int64)
+        for j in range(lo, min(lo + per, rows.shape[1])):
+            word = (word << bits) | rows[:, j]
+        words.append(word)
+    # any sort groups equal rows, and each group's least index is its first copy
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    new = np.zeros(len(rows), dtype=bool)   # where a group starts in order
+    new[0] = True
+    for word in words:
+        w = word[order]
+        new[1:] |= w[1:] != w[:-1]
+    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(firsts)
+    rank = np.empty(len(firsts), dtype=np.int32)
+    rank[by_first] = np.arange(len(firsts), dtype=np.int32)
+    inverse = np.empty(len(rows), dtype=np.int32)
+    inverse[order] = rank[np.cumsum(new, dtype=np.int32) - 1]
+    return firsts[by_first], inverse
+
+
 class TreeSpace:
     """Tree ids with their |Aut|, slot products and per-generation edges.
 
@@ -89,7 +128,10 @@ class TreeSpace:
     large-q engine).  The next generation is built only once it is asked
     for, and not when its projected size times TREE_BYTES exceeds the
     memory the operating system reports available: that raises
-    ResourceLimitError.
+    ResourceLimitError.  ``aut`` and ``slot`` are arrays of Python ints by
+    tree id, replaced by longer ones as generations are added: a star's
+    |Aut| is (n-1)! and its slot product at q = 64 is already 63!/51! at
+    13 arcs, past int64.
     """
 
     VACUUM = VACUUM
@@ -97,18 +139,19 @@ class TreeSpace:
 
     def __init__(self, q=None):
         self.cap = None if q is None else q - 1
-        self.kids = [None, ()]
-        self.aut = [1, 1]
+        # generation n's child-id matrix, n columns wide up to the cap
+        self._gens = [None, np.zeros((1, 1), dtype=np.int32)]
+        self.aut = np.array([1, 1], dtype=object)
         # product over vertices of (q-1)(q-2)...(q-c), c the child count
-        self.slot = [1, 1]
+        self.slot = np.array([1, 1], dtype=object)
         self.start = [0, 1, 2]   # generation n holds ids start[n] .. start[n+1]-1
-        one = np.ones(1, dtype=np.int64)
-        self.steps = [Step(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        one = np.ones(1, dtype=np.int32)
+        self.steps = [Step(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32),
                            one, one)]
-        self._succ = [((ROOT, 1),), None]   # (S id, a) per expanded tree
+        self._attach = [one]   # a(T -> S) per edge of each step
 
     def __len__(self):
-        return len(self.kids)
+        return self.start[-1]
 
     def ids(self, n):
         """The contiguous ids of generation n (building it if needed)."""
@@ -122,6 +165,12 @@ class TreeSpace:
     def generation_of(self, i):
         return bisect(self.start, i) - 1
 
+    def kids(self, i):
+        """The sorted child ids of tree i >= 1, as a tuple."""
+        n = self.generation_of(i)
+        row = self._gens[n][i - self.start[n]]
+        return tuple(row[row != VACUUM].tolist())
+
     def successors(self, n):
         """The attach step from generation n to n + 1."""
         while len(self.steps) <= n:
@@ -132,20 +181,6 @@ class TreeSpace:
         """The attach step into generation n, read backwards for removals."""
         return self.successors(n - 1)
 
-    def _intern(self, kids, index):
-        i = len(self.kids)
-        index[kids] = i
-        self.kids.append(kids)
-        aut = 1
-        slot = 1 if self.cap is None else perm(self.cap, len(kids))
-        for c, run in groupby(kids):
-            k = len(list(run))
-            aut *= self.aut[c] ** k * factorial(k)
-            slot *= self.slot[c] ** k
-        self.aut.append(aut)
-        self.slot.append(slot)
-        return i
-
     def next_generation_bytes(self):
         """TREE_BYTES times the next generation's size, projected from the
         growth ratio of the last step."""
@@ -153,20 +188,17 @@ class TreeSpace:
         size, prev = self.count(n), self.count(n - 1)
         return TREE_BYTES * (size * size // prev)
 
-    def _attach_all(self, lo, hi):
-        """Grow every tree of ids lo..hi-1 by one leaf, interning the results."""
-        # every tree this pass creates has one arc more than those it grows,
-        # so its index only needs the generation being built
-        kids, index, succ_of = self.kids, {}, self._succ
-        for t in range(lo, hi):
-            grown = {}
-            for rest, c, k in attachments(kids[t], self.cap):
-                for s, a in succ_of[c]:
-                    i = bisect(rest, s)
-                    key = rest[:i] + (s,) + rest[i:]
-                    grown[key] = grown.get(key, 0) + k * a
-            succ_of[t] = tuple([(index.get(key) or self._intern(key, index), a)
-                                for key, a in grown.items()])
+    def _edges(self, n):
+        """Every edge of steps 0 .. n-1 as CSR arrays by global T id:
+        (offsets, S id, a(T -> S), m(S -> T), a(T -> S) slot(S)/slot(T))."""
+        start, steps = self.start, self.steps[:n]
+        ptr = np.zeros(start[n] + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.bincount(s.rows, minlength=start[g + 1] - start[g])
+                                  for g, s in enumerate(steps)]), out=ptr[1:])
+        succ = np.concatenate([s.cols + start[g + 1] for g, s in enumerate(steps)])
+        return (ptr, succ, np.concatenate(self._attach),
+                np.concatenate([s.mult for s in steps]),
+                np.concatenate([s.down for s in steps]))
 
     def _grow(self):
         """Build the generation after the newest one."""
@@ -174,25 +206,57 @@ class TreeSpace:
         lo, hi = self.start[n], self.start[n + 1]
         require_memory(self.next_generation_bytes(), f"generation {n + 1}",
                        f"{TREE_BYTES} bytes per projected tree")
-        # the build allocates a few tuples per edge and no reference cycles, so
-        # the collector, which would trace them all, pauses until it ends
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            self._attach_all(lo, hi)
-        finally:
-            if enabled:
-                gc.enable()
-        self.start.append(len(self.kids))
-        self._succ += [None] * (len(self.kids) - len(self._succ))
-        succ = self._succ[lo:hi]
-        rows = np.repeat(np.arange(hi - lo), [len(x) for x in succ])
-        cols, attach = np.array([e for x in succ for e in x], dtype=np.int64).T.copy()
-        aut = np.array(self.aut[lo:], dtype=float)
-        slot = np.array(self.slot[lo:], dtype=float)
-        # m and slot(S)/slot(T), which is q - 1 minus the child count of the
-        # vertex the leaf grew on, are small integers, and these float
-        # quotients lie within ~1e-16 of them
-        mult = np.rint(attach * aut[cols - lo] / aut[rows]).astype(np.int64)
-        down = attach * np.rint(slot[cols - lo] / slot[rows]).astype(np.int64)
-        self.steps.append(Step(rows, cols - hi, mult, down))
+        kids = self._gens[n]
+        if self.cap is None or kids.shape[1] < self.cap:
+            kids = np.pad(kids, ((0, 0), (1, 0)))   # one more free root slot
+        width = kids.shape[1]
+
+        # a site is the first copy of each distinct id in a row: the root
+        # (a zero) first, then each child ascending, as attachments lists them
+        is_site = np.ones(kids.shape, dtype=bool)
+        is_site[:, 1:] = kids[:, 1:] != kids[:, :-1]
+        row, col = np.nonzero(is_site)
+        c = kids[row, col]
+        flat = row * width + col
+        k = (np.append(flat[1:], kids.size) - flat).astype(np.int32)   # copies of c
+        root = c == VACUUM
+        k_attach = np.where(root, 1, k)
+        # slot(S)/slot(T) at the root: the free slots q - 1 - len(kids)
+        k_down = np.where(root, 1 if self.cap is None else k + self.cap - width, k)
+        sites = np.count_nonzero(row == 0)
+        expected = [(c_, k_) for _, c_, k_ in attachments(self.kids(lo), self.cap)]
+        if list(zip(c[:sites].tolist(), k_attach[:sites].tolist())) != expected:
+            raise NumericalContractError(f"generation {n}: array growth sites "
+                                         f"disagree with attachments for tree {lo}")
+
+        # each site grows into every successor s of its child c
+        ptr, succ, attach, mult, down = self._edges(n)
+        deg = ptr[c + 1] - ptr[c]
+        edge = np.repeat(ptr[c], deg) + _ramp(deg)
+        site = np.repeat(np.arange(len(c)), deg)
+        s = succ[edge]
+        rows = row[site].astype(np.int32)
+        grown = kids[rows]
+        grown[np.arange(len(site)), col[site]] = s
+        grown.sort(axis=1)
+        a = k_attach[site] * attach[edge]
+        m = mult[edge] * (grown == s[:, None]).sum(axis=1, dtype=np.int32)
+        d = k_down[site] * down[edge]
+        del ptr, succ, attach, mult, down, edge, site, s   # before the sort's temporaries
+
+        firsts, cols = _first_rows(grown)
+        self._gens.append(grown[firsts])
+        del grown
+        # |Aut S| = |Aut T| m / a and slot(S) = slot(T) down / a, read on the
+        # first edge into each S; a remainder would mean a wrong edge integer
+        t, af = lo + rows[firsts], a[firsts]
+        aut = self.aut[t] * m[firsts]
+        slot = self.slot[t] * d[firsts]
+        if (aut % af).any() or (slot % af).any():
+            raise NumericalContractError(f"generation {n + 1}: |Aut| or slot "
+                                         "product is not an integer")
+        self.aut = np.concatenate([self.aut, aut // af])
+        self.slot = np.concatenate([self.slot, slot // af])
+        self.start.append(hi + len(firsts))
+        self.steps.append(Step(rows, cols, m, d))
+        self._attach.append(a)

@@ -249,7 +249,37 @@ def nested_tree(space, i):
     """The nested-tuple encoding of tree id i of a dsyk TreeSpace (None: no arcs)."""
     if i == 0:
         return None
-    return canonical(nested_tree(space, c) for c in space.kids[i])
+    return canonical(nested_tree(space, c) for c in space.kids(i))
+
+
+def tuple_growth_order(space, n):
+    """Generation n + 1 of a dsyk TreeSpace in the order a tuple build meets it.
+
+    Replays the build on sorted child-id tuples: each tree of generation n
+    in id order, then its sites (a free root slot first, then each distinct
+    child ascending), then each site's successors in the space's own edge
+    order of the earlier steps.  Returns the new trees' child-id tuples in
+    order of first appearance, and for each tree of generation n the tuples
+    it grows into, in that order.
+    """
+    succ = {}
+    for g in range(n):
+        step = space.successors(g)
+        for t, s in zip(step.rows.tolist(), step.cols.tolist()):
+            succ.setdefault(space.start[g] + t, []).append(space.start[g + 1] + s)
+    new, grown = {}, []
+    for t in space.ids(n):
+        kids = space.kids(t)
+        sites = [0] if space.cap is None or len(kids) < space.cap else []
+        out = []
+        for c in sites + sorted(set(kids)):
+            rest = list(kids)
+            if c:
+                rest.remove(c)
+            out += [tuple(sorted(rest + [s])) for s in succ[c]]
+        new.update(dict.fromkeys(out))
+        grown.append(out)
+    return list(new), grown
 
 
 def gram_schmidt_hessenberg(mat, v0, n_max):

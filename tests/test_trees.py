@@ -20,6 +20,7 @@ from oracles import (
     n_vertices,
     nested_tree,
     slot_factor_product,
+    tuple_growth_order,
 )
 
 A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486]
@@ -192,6 +193,21 @@ def test_id_graph_matches_nested_tuple_oracle(q):
         assert succ == {enc: set(attachments(enc, cap)) for enc in encs}
 
 
+@pytest.mark.parametrize("q", [4, None])
+def test_ids_follow_the_tuple_build_order(q):
+    # new trees are numbered, and each tree's edges ordered, as a tuple build
+    # meets them; another numbering sums the float states in another order
+    sp = TreeSpace(q=q)
+    for n in range(1, 9):
+        order, grown = tuple_growth_order(sp, n)
+        assert [sp.kids(i) for i in sp.ids(n + 1)] == order
+        step = sp.successors(n)
+        got = [[] for _ in sp.ids(n)]
+        for t, s in zip(step.rows.tolist(), step.cols.tolist()):
+            got[t].append(sp.kids(sp.start[n + 1] + s))
+        assert got == grown
+
+
 def test_treespace_resource_cap(monkeypatch):
     monkeypatch.setattr("dsyk.trees.TREE_BYTES", 2 ** 60)
     sp = TreeSpace(q=None)
@@ -206,3 +222,22 @@ def test_next_generation_memory_estimate():
     sp.count(10)
     assert sp.next_generation_bytes() == TREE_BYTES * (719 ** 2 // 286)
     assert abs(sp.next_generation_bytes() / (TREE_BYTES * sp.count(11)) - 1) < 0.02
+
+
+def star(sp, n):
+    """Id of the n-arc star: a root whose n - 1 children are single arcs."""
+    return next(i for i in sp.ids(n) if sp.kids(i) == (TreeSpace.ROOT,) * (n - 1))
+
+
+def test_star_slot_product_is_exact_past_int64():
+    # q = 64 to 13 arcs, as in the large-q float Lanczos test: the star's
+    # slot product 63!/51! ~ 2.8e21 overflows int64
+    sp = TreeSpace(q=64)
+    i = star(sp, 13)
+    assert sp.slot[i] == math.perm(63, 12)
+
+
+def test_star_aut_is_factorial():
+    sp = TreeSpace(q=None)
+    i = star(sp, 13)
+    assert sp.aut[i] == math.factorial(12)
