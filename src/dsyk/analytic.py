@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ValidationError
 from .krylov import TridiagonalCoeffs
@@ -58,7 +57,8 @@ def meixner_wavefunction(n, t, p: MeixnerParams):
     log_sech = -t - math.log1p(math.exp(-2.0 * t)) + math.log(2.0)
     log_pref = p.eta * (log_sech - math.log1p(p.u * th))
     log_ratio = math.log(th) - math.log1p(p.u * th)
-    log_poch = gammaln(p.eta + n) - gammaln(p.eta) - gammaln(n + 1.0)
+    log_poch = np.array([math.lgamma(p.eta + k) - math.lgamma(k + 1.0) for k in n]) \
+        - math.lgamma(p.eta)
     log_amp = (log_pref + 0.5 * n * math.log(1.0 - p.u ** 2)
                + 0.5 * log_poch + n * log_ratio)
     out = np.exp(log_amp)

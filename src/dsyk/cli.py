@@ -40,6 +40,7 @@ from .analytic import (
     k_saturation,
     meixner_tridiagonal,
     variance_exact,
+    variance_saturation,
 )
 from .dynamics import evolve_chain, k_complexity_numeric, meixner_n_trunc
 
@@ -239,7 +240,8 @@ def cmd_meixner(args):
         ks = k_complexity_exact(ts, p)
         vs = variance_exact(ts, p)
         manifest = _manifest(args, u=u, eta=args.eta, tmax=args.tmax,
-                             k_saturation=k_saturation(p))
+                             k_saturation=k_saturation(p),
+                             variance_saturation=variance_saturation(p))
         rows = [(float(t), float(k), float(v)) for t, k, v in zip(ts, ks, vs)]
         write_csv(out_dir / f"meixner_u{u}.csv", manifest, ["t", "K", "var"], rows)
         print(f"wrote meixner_u{u}.csv")

@@ -3,22 +3,23 @@
 d(phi_n)/dt = i a_n phi_n - b_(n+1) phi_(n+1) + b_n phi_(n-1),
 phi_n(0) = delta_(n,0).  The a_n are themselves imaginary for the
 dissipative chain, so i a_n is a real damping and the chain is one real
-tridiagonal system; the sign and factor conventions are locked by
+tridiagonal system y' = G y; the sign and factor conventions are locked by
 reproducing the exact Meixner solution.
 
 Radau IIA, an L-stable implicit method, steps at the accuracy limit of
 the O(1) physical frequencies, not at the stability limit of the truncated
-tail's large b_n; its Newton systems are solved by LAPACK's tridiagonal LU.
+tail's large b_n.  G is constant, so its stage equations are linear and
+each step is solved outright by LAPACK's tridiagonal LU, with no Newton
+iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import Radau, solve_ivp
-from scipy.linalg import get_lapack_funcs
-from scipy.sparse import diags
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from .analytic import MeixnerParams, meixner_wavefunction
 from .errors import (
@@ -31,28 +32,127 @@ from .krylov import TridiagonalCoeffs
 
 DEFAULT_SPILL_TOL = 1e-8
 
+# Radau IIA of order 5 (Hairer and Wanner, Solving ODEs II, IV.8): the
+# Butcher matrix A, the weights E of the embedded error estimate, and the
+# step-size control of the standard Radau codes (safety 0.9, factor clipped
+# to [0.2, 10], a step kept with its factorizations while the factor stays
+# below 1.2).
+_S6 = 6 ** 0.5
+_A = np.array([[(88 - 7 * _S6) / 360, (296 - 169 * _S6) / 1800, (-2 + 3 * _S6) / 225],
+               [(296 + 169 * _S6) / 1800, (88 + 7 * _S6) / 360, (-2 - 3 * _S6) / 225],
+               [(16 - _S6) / 36, (16 + _S6) / 36, 1 / 9]])
+_E = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1]) / 3
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _KEEP_BELOW = 0.9, 0.2, 10.0, 1.2
 
-class _TridiagonalRadau(Radau):
-    """Radau IIA solving its Newton systems by LAPACK's tridiagonal LU
-    (gttrf/gttrs), whose storage is the three diagonals alone."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.lu, self.solve_lu = self._gttrf, self._gttrs
+def _stage_basis():
+    """Eigenvalues lambda_k and eigenvectors V of A, the real one first,
+    scaled so that V^-1 (1, 1, 1) = (1, 1, 1).  The stages Z = V W of
+    y' = G y then decouple into (MU_k/h - G) W_k = G y with MU_k = 1/lambda_k:
+    a real W_0 and a complex conjugate pair W_1, W_2."""
+    lam, v = np.linalg.eig(_A)
+    order = np.argsort(np.abs(lam.imag))
+    lam, v = lam[order], v[:, order]
+    return 1 / lam[0].real, 1 / lam[1], v * np.linalg.solve(v, np.ones(3))
 
-    def _gttrf(self, a):
-        self.nlu += 1
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (a.data,))
-        *factors, info = gttrf(a.diagonal(-1), a.diagonal(), a.diagonal(1),
-                               overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-        if info != 0:
-            raise NumericalContractError(f"tridiagonal LU failed (gttrf info={info})")
-        return gttrs, factors
 
-    @staticmethod
-    def _gttrs(lu, rhs):
-        gttrs, factors = lu
-        return gttrs(*factors, rhs)[0]
+_MU_REAL, _MU_COMPLEX, _V = _stage_basis()
+# the step Z_3 and the error combination E.Z as w_0 W_0 + Re(w_1 W_1)
+_STEP_WEIGHTS = (_V[2, 0].real, 2 * _V[2, 1])
+_ERROR_WEIGHTS = ((_E @ _V[:, 0]).real, 2 * (_E @ _V[:, 1]))
+
+
+@dataclass
+class ChainSolution:
+    """Amplitudes at the requested times, one column each, and the work
+    done: nfev products G y (two to choose the first step, then one per
+    accepted step), nlu factorizations of the real and complex stage
+    matrices, and nreject rejected steps."""
+
+    y: np.ndarray
+    nfev: int
+    nlu: int
+    nreject: int
+
+
+def _gttrf(dl, d, du):
+    """LAPACK's LU of the tridiagonal matrix (dl, d, du), in d's dtype."""
+    *factors, info = (zgttrf if np.iscomplexobj(d) else dgttrf)(dl, d, du)
+    if info != 0:
+        raise NumericalContractError(f"tridiagonal LU failed (gttrf info={info})")
+    return factors
+
+
+def _rms(x):
+    return math.sqrt(np.dot(x, x) / x.size)
+
+
+def solve_ivp(generator, t_span, y0, *, t_eval, rtol, atol):
+    """Integrate y' = G y from t_span[0] to t_span[1] by Radau IIA.
+
+    generator = (ia, b) is the constant real tridiagonal G with diagonal
+    ia, subdiagonal b and superdiagonal -b.  t_eval is an increasing grid in
+    t_span ending at t_span[1]; steps are cut to land on each of its times,
+    so the solution there needs no interpolation.  With a linear right-hand
+    side and an exact Jacobian a step is one real and one complex
+    tridiagonal solve for its stages, plus one real solve for its error
+    estimate.  A singular stage matrix or a step size below rounding raises
+    NumericalContractError.
+    """
+    ia, b = generator
+    nfev = nlu = nreject = 0
+
+    def apply(y):
+        nonlocal nfev
+        nfev += 1
+        gy = ia * y
+        gy[1:] += b * y[:-1]
+        gy[:-1] -= b * y[1:]
+        return gy
+
+    t, t_end = float(t_span[0]), float(t_span[1])
+    y = np.asarray(y0, dtype=float)
+    f = apply(y)
+    # the first step for an error estimate of order 3 (Hairer, Norsett and
+    # Wanner, Solving ODEs I, II.4)
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6, t_end - t)
+    d2 = _rms((apply(y + h0 * f) - f) / scale) / h0
+    h = min(100 * h0, t_end - t, (0.01 / max(d1, d2)) ** 0.25
+            if max(d1, d2) > 1e-15 else max(1e-6, 1e-3 * h0))
+
+    out = np.empty((y.size, len(t_eval)))
+    h_lu = None
+    for k, t_next in enumerate(t_eval):
+        while t < t_next:
+            if h < 10 * (math.nextafter(t, math.inf) - t):
+                raise NumericalContractError(f"step size underflow at t={t}")
+            step = min(h, t_next - t)
+            if step != h_lu:
+                lu_real = _gttrf(-b, _MU_REAL / step - ia, b)
+                lu_complex = _gttrf(-b, _MU_COMPLEX / step - ia, b)
+                h_lu = step
+                nlu += 1
+            w_real = dgttrs(*lu_real, f)[0]
+            w_complex = zgttrs(*lu_complex, f)[0]
+            y_new = y + _STEP_WEIGHTS[0] * w_real + (_STEP_WEIGHTS[1] * w_complex).real
+            ze = (_ERROR_WEIGHTS[0] * w_real + (_ERROR_WEIGHTS[1] * w_complex).real) / step
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = _rms(dgttrs(*lu_real, f + ze)[0] / scale)
+            if not err_norm <= 1:
+                # rejected; a nan estimate (an overflowed step) shrinks it most
+                h = step * (max(_MIN_FACTOR, _SAFETY * err_norm ** -0.25)
+                            if math.isfinite(err_norm) else _MIN_FACTOR)
+                nreject += 1
+                continue
+            factor = (min(_MAX_FACTOR, _SAFETY * err_norm ** -0.25)
+                      if err_norm > 0 else _MAX_FACTOR)
+            h = step * factor if factor >= _KEEP_BELOW else step
+            t = t_next if step == t_next - t else t + step
+            y, f = y_new, apply(y_new)
+        out[:, k] = y
+    return ChainSolution(out, nfev, nlu, nreject)
 
 
 @dataclass
@@ -95,18 +195,13 @@ def evolve_chain(c: TridiagonalCoeffs, t_grid, rtol=1e-11, atol=1e-13,
         raise ValidationError("chain ODE requires real i a_n and b_n")
     if ia.size < 3:
         raise ValidationError(f"chain ODE needs at least 3 sites, got {ia.size}")
-    gen = diags([b, ia, -b], [-1, 0, 1], format="csr")
     y0 = np.zeros(ia.size)
     y0[0] = 1.0
     if t_grid.size == 1:
         sols = y0[:, None]
     else:
-        res = solve_ivp(lambda _, phi: gen @ phi, (0.0, float(t_grid[-1])), y0,
-                        method=_TridiagonalRadau, t_eval=t_grid, rtol=rtol,
-                        atol=atol, jac=gen)
-        if not res.success:
-            raise NumericalContractError(f"ODE integration failed: {res.message}")
-        sols = res.y
+        sols = solve_ivp((ia, b), (0.0, float(t_grid[-1])), y0, t_eval=t_grid,
+                         rtol=rtol, atol=atol).y
     states = [ChainState(phi=sols[:, i], t=float(t)) for i, t in enumerate(t_grid)]
     for st in states:
         if st.spill > spill_tol:

@@ -211,9 +211,11 @@ def test_meixner_curves(tmp_path):
     assert main(["--out", str(tmp_path), "meixner", "--u", "0.1",
                  "--eta", "0.5", "--tmax", "40.0"]) == 0
     manifest, _, rows = read_csv(tmp_path / "meixner_u0.1.csv")
-    k_final = float(rows[-1][1])
+    k_final, var_final = float(rows[-1][1]), float(rows[-1][2])
     assert k_final == pytest.approx(manifest["k_saturation"], rel=1e-6)
     assert manifest["k_saturation"] == pytest.approx(0.5 / 0.2 - 0.25)
+    assert var_final == pytest.approx(manifest["variance_saturation"], rel=1e-6)
+    assert manifest["variance_saturation"] == pytest.approx(0.5 * 0.99 / 0.04)
 
 
 def test_evolve_matches_closed_form(tmp_path):

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix, diags
 
 from dsyk import dynamics
 from dsyk.analytic import MeixnerParams, meixner_tridiagonal, meixner_wavefunction
@@ -58,11 +57,10 @@ def test_two_site_chain_rejected():
 
 
 def test_singular_newton_matrix_raises():
-    gen = diags([np.ones(3), np.zeros(4), -np.ones(3)], [-1, 0, 1], format="csr")
-    solver = dynamics._TridiagonalRadau(lambda _, y: gen @ y, 0.0, np.eye(4)[0],
-                                        1.0, jac=gen)
-    with pytest.raises(NumericalContractError):
-        solver.lu(csc_matrix((4, 4)))
+    # the real and the complex stage matrices go through one factorization
+    for dtype in (float, complex):
+        with pytest.raises(NumericalContractError):
+            dynamics._gttrf(np.zeros(3), np.zeros(4, dtype=dtype), np.zeros(3))
 
 
 @pytest.mark.parametrize("c", [
@@ -76,6 +74,26 @@ def test_evolution_matches_matrix_exponential(c):
     states = evolve_chain(c, grid, spill_tol=np.inf)
     for st in states:
         assert st.phi.dtype == np.float64
+        ref = chain_evolution_expm(c.a_array(), np.real(c.b_array()), st.t)
+        assert np.max(np.abs(st.phi - ref)) < 1e-9
+
+
+def test_step_size_underflow_raises():
+    # floats near t = 1e16 are 2 apart, far above any step this chain allows
+    with pytest.raises(NumericalContractError):
+        dynamics.solve_ivp((np.zeros(4), np.ones(3)), (1e16, 1e16 + 64), np.eye(4)[0],
+                           t_eval=[1e16 + 64], rtol=1e-9, atol=1e-11)
+
+
+def test_rejected_steps_keep_the_accuracy(monkeypatch):
+    # the wave of a short closed chain reflects off its wall over and over;
+    # steps sized on the free spreading then fail their error test
+    calls = record_solves(monkeypatch)
+    c = toy_chain(10, u=0.0, eta=1.5)
+    states = evolve_chain(c, [0.0, 5.0, 10.0], rtol=1e-9, atol=1e-11, spill_tol=np.inf)
+    ((_, res),) = calls
+    assert res.nreject > 0
+    for st in states:
         ref = chain_evolution_expm(c.a_array(), np.real(c.b_array()), st.t)
         assert np.max(np.abs(st.phi - ref)) < 1e-9
 
@@ -125,7 +143,8 @@ def u001_chain(fraction=1.0):
 
 def test_chain_ode_steps_at_the_accuracy_limit(monkeypatch):
     # an explicit method is held to h * 2 b_max ~ 8 by stability: about
-    # 47,000 evaluations on this chain, against about 3,400 for Radau IIA
+    # 47,000 evaluations on this chain, against about 480 products G y for
+    # Radau IIA
     calls = record_solves(monkeypatch)
     c, grid = u001_chain()
     evolve_chain(c, grid, rtol=1e-9, atol=1e-11)

@@ -1,8 +1,11 @@
 """Packaging: the installed program needs numpy and scipy, and nothing else.
 
 sympy is the tests' exact-arithmetic reference and lives in the ``test``
-extra; no subcommand may import it.  The package catches only the errors
-it expects: no bare ``except:`` and no catch-all base class.
+extra; no subcommand may import it.  Of scipy the program uses LAPACK's
+tridiagonal LU alone, and no subcommand may load its integrators, sparse
+matrices or special functions, which cost start-up time.  The package
+catches only the errors it expects: no bare ``except:`` and no catch-all
+base class.
 """
 
 import ast
@@ -22,7 +25,9 @@ import json, sys
 out, argvs = sys.argv[1], json.loads(sys.argv[2])
 import dsyk.cli
 codes = [dsyk.cli.main(["--out", out] + argv) for argv in argvs]
-print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules}))
+unused = ["scipy.integrate", "scipy.sparse", "scipy.special"]
+print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules,
+                  "scipy": [m for m in unused if m in sys.modules]}))
 """
 
 ARGVS = [
@@ -42,6 +47,7 @@ def test_subcommands_do_not_import_sympy(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["codes"] == [0] * len(ARGVS)
     assert out["sympy"] is False
+    assert out["scipy"] == []
 
 
 def test_runtime_dependencies_are_numpy_and_scipy():
