@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
-from .analytic import MeixnerParams, meixner_wavefunction
+from .analytic import MeixnerParams
 from .errors import (
     NumericalContractError,
     ResourceLimitError,
@@ -87,8 +87,9 @@ def _rms(x):
     return math.sqrt(np.dot(x, x) / x.size)
 
 
-def solve_ivp(generator, t_span, y0, *, t_eval, rtol, atol):
-    """Integrate y' = G y from t_span[0] to t_span[1] by Radau IIA.
+def solve_ivp(generator, t_span, y0, *, t_eval, rtol):
+    """Integrate y' = G y from t_span[0] to t_span[1] by Radau IIA, to the
+    relative tolerance rtol and the absolute tolerance rtol/100.
 
     generator = (ia, b) is the constant real tridiagonal G with diagonal
     ia, subdiagonal b and superdiagonal -b.  t_eval is an increasing grid in
@@ -100,6 +101,7 @@ def solve_ivp(generator, t_span, y0, *, t_eval, rtol, atol):
     NumericalContractError.
     """
     ia, b = generator
+    atol = 1e-2 * rtol
     nfev = nlu = nreject = 0
 
     def apply(y):
@@ -175,8 +177,7 @@ class ChainState:
         return float(np.abs(self.phi[-1])) / peak
 
 
-def evolve_chain(c: TridiagonalCoeffs, t_grid, rtol=1e-11, atol=1e-13,
-                 spill_tol=DEFAULT_SPILL_TOL):
+def evolve_chain(c: TridiagonalCoeffs, t_grid, rtol=1e-11, spill_tol=DEFAULT_SPILL_TOL):
     """Integrate the chain ODE on all of c's sites over an increasing grid
     starting at 0.
 
@@ -200,8 +201,7 @@ def evolve_chain(c: TridiagonalCoeffs, t_grid, rtol=1e-11, atol=1e-13,
     if t_grid.size == 1:
         sols = y0[:, None]
     else:
-        sols = solve_ivp((ia, b), (0.0, float(t_grid[-1])), y0, t_eval=t_grid,
-                         rtol=rtol, atol=atol).y
+        sols = solve_ivp((ia, b), (0.0, float(t_grid[-1])), y0, t_eval=t_grid, rtol=rtol).y
     states = [ChainState(phi=sols[:, i], t=float(t)) for i, t in enumerate(t_grid)]
     for st in states:
         if st.spill > spill_tol:
@@ -223,23 +223,34 @@ def k_complexity_numeric(s: ChainState):
     return k, var, z
 
 
-def meixner_n_trunc(p: MeixnerParams, t_max: float, n_cap=200_000) -> int:
-    """Truncation index keeping the exact-solution boundary weight small.
+def meixner_n_trunc(p: MeixnerParams, t_max: float) -> int:
+    """Truncation index keeping the exact-solution boundary weight small:
+    the first n past the peak of phi_n(t_max) where phi_n falls below
+    DEFAULT_SPILL_TOL/10 of the peak, and at least 50.
 
-    Searches for the smallest n where phi_n(t_max) falls below
-    DEFAULT_SPILL_TOL/10 of the peak amplitude, on windows doubling from 64
-    sites up to n_cap.
+    With r = sqrt(1-u^2) tanh t/(1 + u tanh t), log phi_n = n log r
+    + [lgamma(eta+n) - lgamma(n+1)]/2 + const and phi_(n+1)/phi_n =
+    r sqrt((eta+n)/(n+1)), so phi_n rises while n < (r^2 eta - 1)/(1 - r^2)
+    and falls after it.  From the peak an exponential search brackets the
+    crossing and bisection finds it.  Raises ResourceLimitError for t_max
+    so large that r rounds to 1 and phi_n no longer decays.
     """
-    tol = DEFAULT_SPILL_TOL / 10.0
-    n = min(64, n_cap)
-    while True:
-        phi = meixner_wavefunction(np.arange(n + 1), t_max, p)
-        rel = phi / np.max(phi)
-        below = np.nonzero(rel < tol)[0]
-        if below.size and below[-1] == n and np.all(rel[below[0]:] < tol):
-            return max(int(below[0]), 50)
-        if n == n_cap:
-            raise ResourceLimitError(
-                f"chain needs more than {n_cap} sites at t={t_max} (u={p.u}); "
-                "reduce t_max or raise n_cap")
-        n = min(2 * n, n_cap)
+    th = math.tanh(t_max)
+    r = math.sqrt(1.0 - p.u ** 2) * th / (1.0 + p.u * th)
+    if r >= 1.0:
+        raise ResourceLimitError(
+            f"phi_n does not decay in n at t={t_max} (u={p.u}); reduce t_max")
+    log_r = math.log(r)
+
+    def log_phi(n):
+        return n * log_r + 0.5 * (math.lgamma(p.eta + n) - math.lgamma(n + 1.0))
+
+    peak = max(0, math.floor((r * r * p.eta - 1.0) / (1.0 - r * r)) + 1)
+    cut = log_phi(peak) + math.log(DEFAULT_SPILL_TOL / 10.0)
+    lo, hi = peak, peak + 1   # phi_lo is above the cut; is phi_hi below it?
+    while log_phi(hi) >= cut:
+        lo, hi = hi, 2 * hi - peak
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if log_phi(mid) < cut else (mid, hi)
+    return max(hi, 50)

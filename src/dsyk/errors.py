@@ -15,12 +15,8 @@ class ValidationError(DsykError):
     """Invalid parameters or malformed inputs. CLI exit code 2."""
 
 
-class IncompatibleOperatorsError(ValidationError):
-    """Operators live on different Majorana spaces (mismatched N)."""
-
-
 class ResourceLimitError(DsykError):
-    """A configured resource guard was exceeded. CLI exit code 3."""
+    """A run would need more memory than is available. CLI exit code 3."""
 
 
 def require_memory(need, what, detail):

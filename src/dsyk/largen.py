@@ -35,14 +35,6 @@ from .krylov import TridiagonalCoeffs, lanczos
 from .trees import TreeSpace
 
 
-def _default_j_sq(q):
-    # J = 1 convention: J_script^2 = 2^(1-q) q J^2; equals 1/2 in both the
-    # q = 4 and the strict large-q engines.
-    if q is None:
-        return Fraction(1, 2)
-    return Fraction(q, 2 ** (q - 1))
-
-
 def _common_scale(s, t):
     """(c, s/c, t/c) for two scales.  For rational scales c is the gcd of
     their numerators over the lcm of their denominators, so both quotients
@@ -69,18 +61,19 @@ def _lincomb(x, a, y, b):
 
 
 class DiagramSpace:
-    """Tree graph plus the physical weights G(T) for a given (q, J)."""
+    """Tree graph plus the physical weights G(T) for a given q at J = 1."""
 
-    def __init__(self, q=None, j_sq=None, exact=None):
+    def __init__(self, q=None, exact=None):
         if q is not None and (q % 2 or q < 4):
             raise ValidationError(f"q={q} must be an even integer >= 4 (or None)")
         self.q = q
         if exact is None:
             exact = q is None
         self.exact = exact
-        if j_sq is None:
-            j_sq = _default_j_sq(q)
-        self.j_sq = Fraction(j_sq) if exact else float(j_sq)
+        # J = 1: J_script^2 = 2^(1-q) q J^2 is 1/2 in both the q = 4 and
+        # the strict large-q engines
+        j_sq = Fraction(1, 2) if q is None else Fraction(q, 2 ** (q - 1))
+        self.j_sq = j_sq if exact else float(j_sq)
         if q is None:
             self.arc_weight = 2 * self.j_sq
         else:
@@ -293,19 +286,19 @@ def make_dissipative_apply(space: DiagramSpace, mu: float):
     return apply
 
 
-def lanczos_large_n(q_mode, n_max, j_sq=None):
+def lanczos_large_n(q_mode, n_max):
     """Large-N Lanczos; returns (coeffs, basis states), basis[n] in generation n.
 
     q_mode None runs the strict large-q engine in exact rational
     arithmetic from the single arc: b_1 = J_script sqrt(2/q) vanishes, so
     the bare fermion decouples and is prepended with exact zeros for a_0
-    and b_1^2, and b_n^2 = 2 j_sq n(n-1)/2 for n >= 2 come out as exact
+    and b_1^2, and b_n^2 = n(n-1)/2 for n >= 2 come out as exact
     Fractions (basis states are the unnormalized monic vectors).  Finite q
     runs the same recurrence in floats from the bare fermion, so b_1
     appears as the first coefficient, and the basis states are normalized.
     """
     exact = q_mode is None
-    space = DiagramSpace(q=q_mode, j_sq=j_sq, exact=exact)
+    space = DiagramSpace(q=q_mode, exact=exact)
     if exact:
         coeffs, basis = lanczos(hamiltonian_apply, space.root_state(),
                                 max(n_max, 1) - 1, last_diagonal=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleOperatorsError, ValidationError
+from .errors import ValidationError
 from .majorana import OperatorVector, SykHamiltonian, liouvillian_apply
 
 
@@ -55,7 +55,7 @@ def dissipator_apply(model: DissipativeModel, o: OperatorVector) -> OperatorVect
     parity of the qubits after j.
     """
     if model.n != o.n:
-        raise IncompatibleOperatorsError(
+        raise ValidationError(
             f"model N={model.n} incompatible with operator N={o.n}")
     m = o.matrix
     out = o.n * m

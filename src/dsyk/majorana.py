@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import IncompatibleOperatorsError, ValidationError
+from .errors import ValidationError
 
 # (strings x states) entries per vectorized block when summing strings, so
 # that building H holds no temporary much larger than one operator
@@ -118,7 +118,7 @@ class OperatorVector:
         if not isinstance(other, OperatorVector):
             raise TypeError("expected an OperatorVector")
         if self.n != other.n:
-            raise IncompatibleOperatorsError(
+            raise ValidationError(
                 f"operators live on N={self.n} and N={other.n}")
 
     def __add__(self, other):
@@ -157,11 +157,6 @@ class SykHamiltonian:
     seed: int
     couplings: dict = field(repr=False)
 
-    @property
-    def j_script_sq(self) -> float:
-        """Rescaled coupling 2^(1-q) q J^2."""
-        return 2.0 ** (1 - self.q) * self.q * self.j ** 2
-
     @cached_property
     def matrix(self):
         """D x D matrix of H, built on first use and kept."""
@@ -189,7 +184,7 @@ def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
 def liouvillian_apply(h: SykHamiltonian, o: OperatorVector) -> OperatorVector:
     """[H, O] = H O - O H."""
     if h.n != o.n:
-        raise IncompatibleOperatorsError(
+        raise ValidationError(
             f"Hamiltonian N={h.n} incompatible with operator N={o.n}")
     hm = h.matrix
     return OperatorVector(o.n, hm @ o.matrix - o.matrix @ hm)

@@ -11,8 +11,8 @@ Two transforms:
   moments to Jacobi coefficients a_n, b_n^2.
 
 The moment-to-coefficient recursion is catastrophically ill-conditioned in
-floating point beyond n ~ 10, which is why it is ring-generic: Fraction,
-sympy exact numbers, and plain complex all work.
+floating point beyond n ~ 10, which is why it is ring-generic: it runs
+unchanged on Fractions, on other exact numbers and on complex floats.
 """
 
 from __future__ import annotations
@@ -126,42 +126,12 @@ def moments_from_g(n_max: int):
     return out
 
 
-@dataclass
-class MomentSequence:
-    """Moments m_n, n = 0..n_max, of a unit-norm operator (m_0 = 1)."""
-
-    values: list
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
-            raise ValidationError("moment sequence must start with m_0 = 1")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return self.values[n]
-
-
-def large_q_moment_sequence(q: int, mu_tilde, n_max: int, polys=None) -> MomentSequence:
-    """Physical moments m_n = (2/q) mt_n(u = i*mu_tilde) of the large-q model.
-
-    Exact when mu_tilde is an exact type (Fraction times sympy.I works);
-    complex floats otherwise.  polys, when given, is a ``moments_from_g``
-    result reaching at least n_max, and is used instead of recomputing it.
-    """
-    if polys is None:
-        polys = moments_from_g(n_max)
-    u = 1j * mu_tilde if isinstance(mu_tilde, (int, float)) else mu_tilde
-    values = [1] + [(2 * polys[n](u)) / q for n in range(1, n_max + 1)]
-    return MomentSequence(values=values)
-
-
-def _is_zero(v):
-    flag = getattr(v, "is_zero", None)
-    if flag is not None and not callable(flag):
-        return bool(flag)
-    return v == 0
+def large_q_moment_sequence(q: int, mu_tilde, n_max: int, polys) -> list:
+    """Physical moments m_0 = 1, m_n = (2/q) mt_n(u = i*mu_tilde) of the
+    large-q model, as complex floats; polys is a ``moments_from_g`` result
+    reaching at least n_max."""
+    u = 1j * mu_tilde
+    return [1] + [(2 * polys[n](u)) / q for n in range(1, n_max + 1)]
 
 
 def moments_to_tridiagonal(m, n_max: int) -> TridiagonalCoeffs:
@@ -175,12 +145,12 @@ def moments_to_tridiagonal(m, n_max: int) -> TridiagonalCoeffs:
 
     Needs moments m_0..m_(2 n_max + 1); exact in exact arithmetic.
     """
-    values = list(m.values) if isinstance(m, MomentSequence) else list(m)
+    values = list(m)
     need = 2 * n_max + 2
     if len(values) < need:
         raise ValidationError(
             f"need m_0..m_{need - 1} for n_max={n_max}, got {len(values)} moments")
-    if _is_zero(values[0]):
+    if values[0] == 0:
         raise MomentDegeneracyError(0, 0, "m_0 vanishes")
     row_prev = values[:need]            # sigma_0, valid for all l
     row_pprev = None
@@ -193,9 +163,9 @@ def moments_to_tridiagonal(m, n_max: int) -> TridiagonalCoeffs:
             if k >= 2:
                 s = s - b_sq[k - 2] * row_pprev[l]
             row[l] = s
-        if _is_zero(row_prev[k - 1]):
+        if row_prev[k - 1] == 0:
             raise MomentDegeneracyError(k - 1, k - 1)
-        if _is_zero(row[k]):
+        if row[k] == 0:
             raise MomentDegeneracyError(k, k)
         b_sq.append(row[k] / row_prev[k - 1])
         a.append(row[k + 1] / row[k] - row_prev[k] / row_prev[k - 1])

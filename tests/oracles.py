@@ -21,7 +21,7 @@ import sympy as sp
 from dsyk.errors import FitError, ValidationError
 from dsyk.krylov import TridiagonalCoeffs
 from dsyk.majorana import OperatorVector
-from dsyk.moments import MomentPolynomial, MomentSequence, _is_zero
+from dsyk.moments import MomentPolynomial
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -554,6 +554,11 @@ def string_terms(gammas, matrix, tol=1e-12):
 # helpers only tests call
 
 
+def j_script_sq(h):
+    """Rescaled coupling 2^(1-q) q J^2 of a sampled Hamiltonian."""
+    return 2.0 ** (1 - h.q) * h.q * h.j ** 2
+
+
 def zero_operator(n):
     """The zero operator on N Majoranas (N validated like any constructor)."""
     return OperatorVector.from_terms(n, {})
@@ -634,6 +639,14 @@ def series_moments_from_g(n_max: int):
     return out
 
 
+def _is_zero(v):
+    """v == 0, asking sympy's is_zero where v is a sympy expression."""
+    flag = getattr(v, "is_zero", None)
+    if flag is not None and not callable(flag):
+        return bool(flag)
+    return v == 0
+
+
 def _series_mul(p, q, order):
     out = [0] * (order + 1)
     for i, av in enumerate(p):
@@ -661,7 +674,7 @@ def _series_inverse(d, order):
     return inv
 
 
-def tridiagonal_to_series(c: TridiagonalCoeffs, n_max: int) -> MomentSequence:
+def tridiagonal_to_series(c: TridiagonalCoeffs, n_max: int):
     """Power-series moments of the continued fraction of a Jacobi chain.
 
     Evaluates 1/(1 - a_0 z - b_1^2 z^2/(1 - a_1 z - ...)) as a z-series
@@ -682,7 +695,7 @@ def tridiagonal_to_series(c: TridiagonalCoeffs, n_max: int) -> MomentSequence:
                 if i + 2 <= n_max:
                     denom[i + 2] = denom[i + 2] - v
         tail = _series_inverse(denom, n_max)
-    return MomentSequence(values=tail)
+    return tail
 
 
 def jacobi_moments(c: TridiagonalCoeffs, n_max: int):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,25 @@ def test_finite_n_cap_exit_code(tmp_path):
     # 46 operators of 2^32 complex entries: about 3 TB, beyond any desk machine
     assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "32"]) == 3
     assert not list(tmp_path.iterdir())
+
+
+def test_evolve_memory_exit_code(tmp_path):
+    # at u = 0 the chain spreads without bound: about 2.7e11 sites by t = 12,
+    # refused from its memory estimate before anything is allocated
+    start = time.perf_counter()
+    assert main(["--out", str(tmp_path), "evolve", "--u", "0", "--eta", "1",
+                 "--tmax", "12"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_runs_a_chain_that_peaks_late(tmp_path):
+    # phi_n peaks at n = 263 and the chain needs 759 sites
+    assert main(["--out", str(tmp_path), "evolve", "--u", "0.1", "--eta", "60",
+                 "--tmax", "4", "--points", "5"]) == 0
+    manifest, _, rows = read_csv(tmp_path / "evolve_u0.1.csv")
+    assert manifest["n_trunc"] == 758
+    assert len(rows) == 5
 
 
 def test_finite_n_memory_estimate():

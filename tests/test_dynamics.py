@@ -82,7 +82,7 @@ def test_step_size_underflow_raises():
     # floats near t = 1e16 are 2 apart, far above any step this chain allows
     with pytest.raises(NumericalContractError):
         dynamics.solve_ivp((np.zeros(4), np.ones(3)), (1e16, 1e16 + 64), np.eye(4)[0],
-                           t_eval=[1e16 + 64], rtol=1e-9, atol=1e-11)
+                           t_eval=[1e16 + 64], rtol=1e-9)
 
 
 def test_rejected_steps_keep_the_accuracy(monkeypatch):
@@ -90,7 +90,7 @@ def test_rejected_steps_keep_the_accuracy(monkeypatch):
     # steps sized on the free spreading then fail their error test
     calls = record_solves(monkeypatch)
     c = toy_chain(10, u=0.0, eta=1.5)
-    states = evolve_chain(c, [0.0, 5.0, 10.0], rtol=1e-9, atol=1e-11, spill_tol=np.inf)
+    states = evolve_chain(c, [0.0, 5.0, 10.0], rtol=1e-9, spill_tol=np.inf)
     ((_, res),) = calls
     assert res.nreject > 0
     for st in states:
@@ -147,7 +147,7 @@ def test_chain_ode_steps_at_the_accuracy_limit(monkeypatch):
     # Radau IIA
     calls = record_solves(monkeypatch)
     c, grid = u001_chain()
-    evolve_chain(c, grid, rtol=1e-9, atol=1e-11)
+    evolve_chain(c, grid, rtol=1e-9)
     ((_, res),) = calls
     assert res.nfev < 10_000
     assert res.nlu > 0
@@ -158,7 +158,7 @@ def test_damping_does_not_hide_truncation():
     # chain; the boundary amplitude must still expose the truncation
     c, grid = u001_chain(fraction=0.5)
     with pytest.raises(TruncationError):
-        evolve_chain(c, grid, rtol=1e-9, atol=1e-11)
+        evolve_chain(c, grid, rtol=1e-9)
 
 
 @pytest.mark.parametrize("c", [toy_chain(10)], ids=["meixner"])
@@ -222,12 +222,27 @@ def test_meixner_n_trunc_covers_exact_solution():
     n = meixner_n_trunc(p, t_max=5.0)
     phi = meixner_wavefunction(np.arange(n + 1), 5.0, p)
     assert phi[-1] / phi.max() < 1e-9
-    with pytest.raises(ResourceLimitError):
-        meixner_n_trunc(MeixnerParams(u=0.0, eta=1.0), t_max=12.0, n_cap=1000)
 
 
-def test_meixner_n_trunc_searches_up_to_its_cap():
-    # the answer, n = 765, lies past 512, the last power of two below the cap
+def test_meixner_n_trunc_finds_the_first_site_below_the_cut():
+    # at eta < 1 phi_n falls from n = 0 on; the answer lies past 512, where a
+    # search by doubling windows would stop
     p = MeixnerParams(u=0.0, eta=0.5)
-    assert meixner_n_trunc(p, t_max=2.2, n_cap=1000) == 765
     assert meixner_n_trunc(p, t_max=2.2) == 765
+
+
+def test_meixner_n_trunc_starts_past_a_late_peak():
+    # at eta = 60 phi_n peaks at n = 263, and phi_0 already lies below the
+    # cut: the answer is the first site past the peak that does
+    p = MeixnerParams(u=0.1, eta=60.0)
+    n = meixner_n_trunc(p, 4.0)
+    assert n == 758
+    phi = meixner_wavefunction(np.arange(n + 1), 4.0, p)
+    assert int(np.argmax(phi)) == 263
+    assert phi[-1] / phi.max() < 1e-9 <= phi[-2] / phi.max()
+
+
+def test_meixner_n_trunc_refuses_a_chain_that_never_decays():
+    # at u = 0, tanh(20) rounds to 1 and phi_n falls slower than any cut
+    with pytest.raises(ResourceLimitError):
+        meixner_n_trunc(MeixnerParams(u=0.0, eta=1.0), t_max=20.0)

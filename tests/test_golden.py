@@ -1,7 +1,8 @@
 """Golden outputs: CLI runs whose CSVs a change must leave as they are.
 
-``tests/golden/<run>/`` holds the CSVs of each run in RUNS.  The exact run
-(strict large q, in rationals) must come back byte for byte.  A float run
+``tests/golden/<run>/`` holds the CSVs of each run in RUNS.  The exact runs
+(strict large q and the moment series, in rationals) must come back byte
+for byte.  A float run
 must match its manifest lines, headers, row counts and integer fields
 (indices, sizes) exactly, and every other number to the run's relative
 tolerance in RUNS, measured against the larger of the two values and the
@@ -41,6 +42,10 @@ RUNS = {
     "large_n_q4_nmax12": (["large-n", "--q", "4", "--nmax", "12"], RTOL),
     "large_n_q4_mu0.02_nmax8": (["large-n", "--q", "4", "--mu", "0.02", "--nmax", "8"],
                                 RTOL),
+    "moments_q4_mu0.1_nmax12": (["moments", "--nmax", "12", "--q", "4", "--mu-tilde", "0.1"],
+                                None),
+    "finite_n_arnoldi_n8_mu0.02": (["finite-n-arnoldi", "--n", "8", "--mu", "0.02",
+                                    "--nmax", "6", "--seed", "1"], RTOL),
     "meixner_u0.1_u0.01": (["meixner", "--u", "0.1", "--u", "0.01", "--points", "21"],
                            RTOL),
     "evolve_u0.1_tmax4": (["evolve", "--u", "0.1", "--tmax", "4", "--points", "9",
@@ -80,15 +85,15 @@ def test_outputs_match_goldens(name, tmp_path):
     files = sorted(p.name for p in (GOLDEN / name).iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == files
     want = {f: (GOLDEN / name / f).read_text() for f in files}
+    rtol = RUNS[name][1]
+    if rtol is None:
+        for f in files:
+            assert (tmp_path / f).read_text() == want[f], f"{name}/{f} differs from its golden"
+        return
     scale = max(abs(float(x)) for text in want.values() for row in _numbers(text)
                 for x in row if not _is_int(x))
-    rtol = RUNS[name][1]
     for f in files:
-        got = (tmp_path / f).read_text()
-        if rtol is None:
-            assert got == want[f], f"{name}/{f} differs from its golden"
-        else:
-            _assert_close(got, want[f], rtol, scale, f"{name}/{f}")
+        _assert_close((tmp_path / f).read_text(), want[f], rtol, scale, f"{name}/{f}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Packaging: the installed program needs numpy and scipy, and nothing else.
 
 sympy is the tests' exact-arithmetic reference and lives in the ``test``
-extra; no subcommand may import it.  Of scipy the program uses LAPACK's
+extra; no subcommand may import it, and no source file of the package
+names it.  Of scipy the program uses LAPACK's
 tridiagonal LU alone, and no subcommand may load its integrators, sparse
 matrices or special functions, which cost start-up time.  The package
 catches only the errors it expects: no bare ``except:`` and no catch-all
@@ -48,6 +49,12 @@ def test_subcommands_do_not_import_sympy(tmp_path):
     assert out["codes"] == [0] * len(ARGVS)
     assert out["sympy"] is False
     assert out["scipy"] == []
+
+
+def test_package_source_does_not_name_sympy():
+    named = [path.name for path in sorted((ROOT / "src" / "dsyk").glob("*.py"))
+             if "sympy" in path.read_text().lower()]
+    assert named == []
 
 
 def test_runtime_dependencies_are_numpy_and_scipy():
