@@ -2,8 +2,8 @@
 
 The solvable chain has b_n^2 = (1-u^2) n (n-1+eta), a_n = i u (2n+eta)
 (Meixner polynomial coefficients); for SYK eta = 2/q and 2u = mu_tilde.
-This module provides the chain coefficients, the exact wavefunction,
-K-complexity and variance, and their saturation values.
+This module provides the chain coefficients, the exact K-complexity and
+variance, and their saturation values.
 """
 
 from __future__ import annotations
@@ -37,32 +37,6 @@ def meixner_tridiagonal(p: MeixnerParams, n_max: int) -> TridiagonalCoeffs:
     a = list(1j * p.u * (2 * ns + p.eta))
     b_sq = [(1.0 - p.u ** 2) * n * (n - 1 + p.eta) for n in range(1, n_max + 1)]
     return TridiagonalCoeffs(a=a, b_sq=b_sq)
-
-
-def meixner_wavefunction(n, t, p: MeixnerParams):
-    """Krylov wavefunction amplitude phi_n(t); real and >= 0 for t >= 0.
-
-    phi_n = sech(t)^eta/(1+u tanh t)^eta * (1-u^2)^(n/2)
-            * sqrt((eta)_n/n!) * (tanh t/(1+u tanh t))^n,
-    evaluated in the log domain so n up to ~1e5 neither over- nor
-    underflows before the final exponential.
-    """
-    n = np.asarray(n)
-    scalar = n.shape == ()
-    n = np.atleast_1d(n).astype(float)
-    if t == 0.0:
-        out = np.where(n == 0, 1.0, 0.0)
-        return float(out[0]) if scalar else out
-    th = math.tanh(t)
-    log_sech = -t - math.log1p(math.exp(-2.0 * t)) + math.log(2.0)
-    log_pref = p.eta * (log_sech - math.log1p(p.u * th))
-    log_ratio = math.log(th) - math.log1p(p.u * th)
-    log_poch = np.array([math.lgamma(p.eta + k) - math.lgamma(k + 1.0) for k in n]) \
-        - math.lgamma(p.eta)
-    log_amp = (log_pref + 0.5 * n * math.log(1.0 - p.u ** 2)
-               + 0.5 * log_poch + n * log_ratio)
-    out = np.exp(log_amp)
-    return float(out[0]) if scalar else out
 
 
 def _denominator(th, u):

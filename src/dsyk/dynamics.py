@@ -11,15 +11,22 @@ the O(1) physical frequencies, not at the stability limit of the truncated
 tail's large b_n.  G is constant, so its stage equations are linear and
 each step is solved outright by LAPACK's tridiagonal LU, with no Newton
 iteration.
+
+Of scipy only the LAPACK extension behind ``scipy.linalg.lapack`` is
+loaded, straight from its file: importing ``scipy.linalg`` would load the
+whole package, about 300 modules and a quarter of a second of every
+subcommand's start-up, for four routines.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from .analytic import MeixnerParams
 from .errors import (
@@ -31,6 +38,25 @@ from .errors import (
 from .krylov import TridiagonalCoeffs
 
 DEFAULT_SPILL_TOL = 1e-8
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers (``scipy/linalg/_flapack``), loaded
+    without importing scipy or scipy.linalg."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = scipy_spec and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(scipy_spec.submodule_search_locations[0], "linalg")])
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension scipy/linalg/_flapack was not found; "
+                          "dsyk needs scipy with its compiled LAPACK wrappers")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgttrf, dgttrs, zgttrf, zgttrs = (_flapack.dgttrf, _flapack.dgttrs,
+                                  _flapack.zgttrf, _flapack.zgttrs)
 
 # Radau IIA of order 5 (Hairer and Wanner, Solving ODEs II, IV.8): the
 # Butcher matrix A, the weights E of the embedded error estimate, and the

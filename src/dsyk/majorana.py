@@ -22,6 +22,7 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ValidationError
 
@@ -134,6 +135,12 @@ class OperatorVector:
 
     __rmul__ = __mul__
 
+    def iaxpy(self, c, other):
+        """self += c * other, in place: the Arnoldi update then reuses this
+        operator's matrix instead of allocating a new one."""
+        self._check_compatible(other)
+        self.matrix += other.matrix * c
+
     def inner(self, other):
         """(self|other) = Tr[self^dag other]/D."""
         self._check_compatible(other)
@@ -174,7 +181,7 @@ def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
     if seed < 0:
         raise ValidationError(f"seed={seed} must be >= 0")
     sigma = math.sqrt(math.factorial(q - 1) * j ** 2 / n ** (q - 1))
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     subsets = list(combinations(range(n), q))
     samples = rng.normal(0.0, sigma, size=len(subsets))
     return SykHamiltonian(n=n, q=q, j=j, seed=seed,

@@ -738,6 +738,33 @@ def g_function(t, j_script=1.0, mu_tilde=0.0):
     return out if out.shape else float(out)
 
 
+def meixner_wavefunction(n, t, p):
+    """Exact Krylov wavefunction amplitude phi_n(t) of the Meixner chain
+    with MeixnerParams p; real and >= 0 for t >= 0.
+
+    phi_n = sech(t)^eta/(1+u tanh t)^eta * (1-u^2)^(n/2)
+            * sqrt((eta)_n/n!) * (tanh t/(1+u tanh t))^n,
+    evaluated in the log domain so n up to ~1e5 neither over- nor
+    underflows before the final exponential.
+    """
+    n = np.asarray(n)
+    scalar = n.shape == ()
+    n = np.atleast_1d(n).astype(float)
+    if t == 0.0:
+        out = np.where(n == 0, 1.0, 0.0)
+        return float(out[0]) if scalar else out
+    th = math.tanh(t)
+    log_sech = -t - math.log1p(math.exp(-2.0 * t)) + math.log(2.0)
+    log_pref = p.eta * (log_sech - math.log1p(p.u * th))
+    log_ratio = math.log(th) - math.log1p(p.u * th)
+    log_poch = np.array([math.lgamma(p.eta + k) - math.lgamma(k + 1.0) for k in n]) \
+        - math.lgamma(p.eta)
+    log_amp = (log_pref + 0.5 * n * math.log(1.0 - p.u ** 2)
+               + 0.5 * log_poch + n * log_ratio)
+    out = np.exp(log_amp)
+    return float(out[0]) if scalar else out
+
+
 def tail_decay_rate(u: float) -> float:
     """Stationary tail decay: |phi_n| ~ exp(-n ln((1+u)/sqrt(1-u^2))) * n^((eta-1)/2)."""
     return math.log((1.0 + u) / math.sqrt(1.0 - u ** 2))

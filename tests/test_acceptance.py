@@ -17,7 +17,6 @@ from dsyk.analytic import (
     k_complexity_exact,
     k_saturation,
     meixner_tridiagonal,
-    meixner_wavefunction,
     variance_exact,
     variance_saturation,
 )
@@ -40,6 +39,7 @@ from oracles import (
     dissipator_oracle,
     has_parity_of,
     jacobi_moments,
+    meixner_wavefunction,
     string_multiply,
     tridiagonal_to_series,
 )

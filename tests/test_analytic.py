@@ -12,7 +12,6 @@ from dsyk.analytic import (
     k_complexity_exact,
     k_saturation,
     meixner_tridiagonal,
-    meixner_wavefunction,
     variance_exact,
     variance_saturation,
 )
@@ -23,6 +22,7 @@ from oracles import (
     g_function,
     k_complexity_partition,
     meixner_tridiagonal_exact,
+    meixner_wavefunction,
     tail_decay_rate,
 )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dsyk import dynamics
-from dsyk.analytic import MeixnerParams, meixner_tridiagonal, meixner_wavefunction
+from dsyk.analytic import MeixnerParams, meixner_tridiagonal
 from dsyk.dynamics import (
     ChainState,
     evolve_chain,
@@ -21,7 +21,12 @@ from dsyk.errors import (
     ValidationError,
 )
 from dsyk.krylov import TridiagonalCoeffs
-from oracles import chain_evolution_expm, direct_k_and_variance, stationary_tail_fit
+from oracles import (
+    chain_evolution_expm,
+    direct_k_and_variance,
+    meixner_wavefunction,
+    stationary_tail_fit,
+)
 
 
 def toy_chain(n=40, u=0.1, eta=1.0):

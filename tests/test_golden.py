@@ -10,15 +10,19 @@ largest such number in the run's CSVs: another BLAS may sum in another
 order, which moves the rounding-level entries of a Hessenberg matrix and
 its departure from tridiagonal form (the eps file).
 
-A change that means to alter an output rewrites the goldens with
+A change that means to alter an output rewrites the goldens of the runs
+it alters, and only those, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py <run> [<run> ...]
 
-and says so in CHANGES.md.
+(run names as in RUNS, e.g. ``evolve_u0.1_tmax4``; with no names every
+run is rewritten) and says so in CHANGES.md.  An unknown name exits
+non-zero and lists the runs.
 """
 
 import math
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +101,10 @@ def test_outputs_match_goldens(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for name in RUNS:
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        sys.exit(f"unknown run(s) {', '.join(unknown)}; runs: {', '.join(RUNS)}")
+    for name in names or RUNS:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         _run(name, GOLDEN / name)

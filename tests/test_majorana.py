@@ -172,6 +172,21 @@ def test_incompatible_sizes_raise():
         zero_operator(4).inner(zero_operator(6))
 
 
+def test_iaxpy_is_u_plus_c_v_in_place():
+    u = OperatorVector.from_terms(6, {0b000011: 0.3 - 1.1j, 0b001111: 2.0})
+    v = OperatorVector.from_terms(6, {0b000011: -0.7, 0b110000: 0.4 + 0.9j})
+    c = -0.37 + 1.91j
+    want = (u + c * v).matrix
+    v_before = v.matrix.copy()
+    matrix = u.matrix
+    u.iaxpy(c, v)
+    assert u.matrix is matrix
+    np.testing.assert_array_equal(u.matrix, want, strict=True)
+    np.testing.assert_array_equal(v.matrix, v_before, strict=True)
+    with pytest.raises(ValidationError):
+        u.iaxpy(c, zero_operator(4))
+
+
 def test_basis_string_range_check():
     with pytest.raises(ValidationError):
         OperatorVector.basis_string(4, 1 << 5)

@@ -2,11 +2,14 @@
 
 sympy is the tests' exact-arithmetic reference and lives in the ``test``
 extra; no subcommand may import it, and no source file of the package
-names it.  Of scipy the program uses LAPACK's
-tridiagonal LU alone, and no subcommand may load its integrators, sparse
-matrices or special functions, which cost start-up time.  The package
-catches only the errors it expects: no bare ``except:`` and no catch-all
-base class.
+names it.  Of scipy the program uses four tridiagonal LAPACK routines,
+which ``dsyk.dynamics`` loads from scipy's compiled LAPACK extension
+without importing any ``scipy`` module: neither ``import dsyk.cli`` nor
+any subcommand may load one, since ``scipy.linalg`` alone costs about a
+quarter of a second of start-up.  The routines it loads must give bit for
+bit what ``scipy.linalg.lapack`` gives, so that a scipy that moves the
+extension fails here.  The package catches only the errors it expects:
+no bare ``except:`` and no catch-all base class.
 """
 
 import ast
@@ -17,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,11 +28,17 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD = """
 import json, sys
 out, argvs = sys.argv[1], json.loads(sys.argv[2])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 import dsyk.cli
+at_import = scipy_modules()
 codes = [dsyk.cli.main(["--out", out] + argv) for argv in argvs]
 unused = ["scipy.integrate", "scipy.sparse", "scipy.special"]
 print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules,
-                  "scipy": [m for m in unused if m in sys.modules]}))
+                  "unused": [m for m in unused if m in sys.modules],
+                  "at_import": at_import, "after_runs": scipy_modules()}))
 """
 
 ARGVS = [
@@ -36,6 +46,8 @@ ARGVS = [
     ["evolve", "--u", "0.1", "--tmax", "1", "--points", "5"],
     ["moments", "--nmax", "6"],
     ["large-n", "--q-inf", "--nmax", "4"],
+    ["finite-n-arnoldi", "--n", "8", "--mu", "0.02", "--nmax", "4"],
+    ["large-n", "--q", "4", "--nmax", "4"],
 ]
 
 
@@ -48,7 +60,33 @@ def test_subcommands_do_not_import_sympy(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["codes"] == [0] * len(ARGVS)
     assert out["sympy"] is False
-    assert out["scipy"] == []
+    assert out["unused"] == []
+    assert out["at_import"] == []
+    assert out["after_runs"] == []
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_loaded_lapack_routines_match_scipy_linalg(dtype):
+    from scipy.linalg import lapack
+    from dsyk import dynamics
+
+    prefix = "z" if dtype == np.complex128 else "d"
+    rng = np.random.default_rng(7)
+
+    def draw(size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if prefix == "z" else x
+
+    dl, d, du, rhs = draw(49), draw(50), draw(49), draw(50)
+    got_lu = getattr(dynamics, prefix + "gttrf")(dl, d, du)
+    want_lu = getattr(lapack, prefix + "gttrf")(dl, d, du)
+    assert got_lu[-1] == want_lu[-1] == 0
+    for got, want in zip(got_lu, want_lu):
+        np.testing.assert_array_equal(got, want, strict=True)
+    got = getattr(dynamics, prefix + "gttrs")(*got_lu[:-1], rhs)
+    want = getattr(lapack, prefix + "gttrs")(*want_lu[:-1], rhs)
+    assert got[-1] == want[-1] == 0
+    np.testing.assert_array_equal(got[0], want[0], strict=True)
 
 
 def test_package_source_does_not_name_sympy():
