@@ -54,6 +54,16 @@ RUNS = {
                            RTOL),
     "evolve_u0.1_tmax4": (["evolve", "--u", "0.1", "--tmax", "4", "--points", "9",
                            "--dt-tol", str(DT_TOL)], EVOLVE_RTOL),
+    # the command lines of the benchmark's workloads; the chain workload's
+    # is left out, as its snapshot alone is 57 KB and evolve_u0.1_tmax4
+    # already covers the stepper
+    "moments_q4_mu0.1_nmax28": (["moments", "--nmax", "28", "--q", "4",
+                                 "--mu-tilde", "0.1"], None),
+    "large_n_q_inf_nmax13": (["large-n", "--q-inf", "--nmax", "13"], None),
+    "large_n_q4_nmax15": (["large-n", "--q", "4", "--nmax", "15"], RTOL),
+    "finite_n_arnoldi_n14_mu0.02_nmax12": (["finite-n-arnoldi", "--n", "14", "--q", "4",
+                                            "--mu", "0.02", "--nmax", "12", "--seed", "1"],
+                                           RTOL),
 }
 
 
