@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .errors import (
     FitError, NumericalContractError, ResourceLimitError, ValidationError,
     require_memory)
 from .majorana import OperatorVector, sample_syk
-from .lindblad import DissipativeModel, lindbladian_apply
+from .lindblad import lindbladian_apply
 from .krylov import diagonal_slope_fit, hessenberg_error, lanczos
 from .largen import (
     DiagramSpace,
@@ -83,9 +84,9 @@ def _manifest(args, **extra):
 
 def _run_finite_n(args, seed, out_dir):
     n, q, mu = args.n, args.q, args.mu
-    model = DissipativeModel(hamiltonian=sample_syk(n, q, args.coupling, seed), mu=mu)
+    h = sample_syk(n, q, args.coupling, seed)
     o0 = OperatorVector.basis_string(n, 1 << 0)
-    hm, _ = arnoldi(lambda v: lindbladian_apply(model, v), o0, args.nmax)
+    hm, _ = arnoldi(lambda v: lindbladian_apply(h, mu, v), o0, args.nmax)
     eps = hessenberg_error(hm)
     manifest = _manifest(args, n=n, q=q, coupling=args.coupling, mu=mu, seed=seed,
                          n_max=args.nmax, reorth=True, rng="numpy PCG64",
@@ -112,7 +113,7 @@ def _run_finite_n(args, seed, out_dir):
 
 
 def _diagonal_fit(hm, mu, window_hi):
-    slope, r2 = diagonal_slope_fit(hm, 1, window_hi)
+    slope, r2 = diagonal_slope_fit(hm, window_hi)
     return {"slope": slope, "r2": r2, "chi": slope / mu, "window": [1, window_hi]}
 
 
@@ -150,6 +151,17 @@ def _require_positive(*flags):
     for flag, value in flags:
         if not value > 0:
             raise ValidationError(f"{flag} must be positive, got {value}")
+
+
+def _check_floats(args):
+    """Raise ValidationError for any parsed float argument that is nan or
+    infinite, and for a negative --mu, before a subcommand does any work."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {v}")
+    if getattr(args, "mu", 0.0) < 0:
+        raise ValidationError(f"--mu must be at least 0, got {args.mu}")
 
 
 def cmd_finite_n_arnoldi(args):
@@ -220,10 +232,8 @@ def cmd_moments(args):
     n_tri = max(1, (args.nmax - 1) // 2)
     polys = moments_from_g(max(args.nmax, 2 * n_tri + 1))
     manifest = _manifest(args, n_max=args.nmax, mu_tilde=args.mu_tilde)
-    rows = []
-    for n in range(1, args.nmax + 1):
-        coeffs = ";".join(str(c) for c in polys[n].coeffs)
-        rows.append((n, polys[n].degree, coeffs))
+    rows = [(n, len(polys[n]) - 1, ";".join(str(c) for c in polys[n]))
+            for n in range(1, args.nmax + 1)]
     write_csv(out_dir / "moment_polynomials.csv", manifest,
               ["n", "degree", "coeffs_ascending_u"], rows)
     m = large_q_moment_sequence(args.q, args.mu_tilde, 2 * n_tri + 1, polys)
@@ -269,18 +279,14 @@ def cmd_evolve(args):
     out_dir = _out_dir(args)
     coeffs = meixner_tridiagonal(p, n_trunc)
     ts = np.linspace(0.0, args.tmax, args.points)
-    states = evolve_chain(coeffs, ts, rtol=args.dt_tol)
+    phi = evolve_chain(coeffs, ts, rtol=args.dt_tol)
     manifest = _manifest(args, u=args.u, eta=args.eta, tmax=args.tmax,
                          n_trunc=n_trunc, rtol=args.dt_tol)
-    rows = []
-    for st in states:
-        k, var, z = k_complexity_numeric(st)
-        rows.append((st.t, k, var, z))
+    rows = [(float(t), *k_complexity_numeric(phi[:, i])) for i, t in enumerate(ts)]
     write_csv(out_dir / f"evolve_u{args.u}.csv", manifest,
               ["t", "K", "var", "Z"], rows)
-    final = states[-1]
-    snap = [(n, final.phi[n].real, final.phi[n].imag)
-            for n in range(final.phi.size)]
+    # the amplitudes are real; the im_phi column is kept for the file's layout
+    snap = [(n, x, 0.0) for n, x in enumerate(phi[:, -1])]
     write_csv(out_dir / f"evolve_snapshot_u{args.u}.csv", manifest,
               ["n", "re_phi", "im_phi"], snap)
     print(f"wrote evolve_u{args.u}.csv, evolve_snapshot_u{args.u}.csv")
@@ -348,6 +354,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_floats(args)
         args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

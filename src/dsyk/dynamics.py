@@ -37,7 +37,8 @@ from .errors import (
 )
 from .krylov import TridiagonalCoeffs
 
-DEFAULT_SPILL_TOL = 1e-8
+# the largest boundary amplitude, relative to the peak, that evolve_chain accepts
+SPILL_TOL = 1e-8
 
 
 def _load_flapack():
@@ -183,34 +184,15 @@ def solve_ivp(generator, t_span, y0, *, t_eval, rtol):
     return ChainSolution(out, nfev, nlu, nreject)
 
 
-@dataclass
-class ChainState:
-    """Chain amplitudes phi_0..phi_n_trunc at one instant."""
-
-    phi: np.ndarray
-    t: float
-
-    @property
-    def n_trunc(self) -> int:
-        return self.phi.size - 1
-
-    @property
-    def spill(self) -> float:
-        """Boundary amplitude relative to the peak amplitude."""
-        peak = float(np.max(np.abs(self.phi)))
-        if peak == 0.0:
-            return 0.0
-        return float(np.abs(self.phi[-1])) / peak
-
-
-def evolve_chain(c: TridiagonalCoeffs, t_grid, rtol=1e-11, spill_tol=DEFAULT_SPILL_TOL):
+def evolve_chain(c: TridiagonalCoeffs, t_grid, rtol=1e-11):
     """Integrate the chain ODE on all of c's sites over an increasing grid
     starting at 0.
 
-    i a_n and b_n must be real, and the chain at least 3 sites long; the
-    amplitudes are float64.  Returns one ChainState per grid time.  If the
-    boundary amplitude ever exceeds spill_tol relative to the peak, the
-    chain is too short and TruncationError is raised.
+    i a_n and b_n must be real, and the chain at least 3 sites long.
+    Returns the float64 amplitudes phi_n(t), one row per site and one
+    column per grid time.  If the boundary amplitude ever exceeds
+    SPILL_TOL of the peak amplitude, the chain is too short and
+    TruncationError is raised.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0.0 \
@@ -225,21 +207,22 @@ def evolve_chain(c: TridiagonalCoeffs, t_grid, rtol=1e-11, spill_tol=DEFAULT_SPI
     y0 = np.zeros(ia.size)
     y0[0] = 1.0
     if t_grid.size == 1:
-        sols = y0[:, None]
+        phi = y0[:, None]
     else:
-        sols = solve_ivp((ia, b), (0.0, float(t_grid[-1])), y0, t_eval=t_grid, rtol=rtol).y
-    states = [ChainState(phi=sols[:, i], t=float(t)) for i, t in enumerate(t_grid)]
-    for st in states:
-        if st.spill > spill_tol:
+        phi = solve_ivp((ia, b), (0.0, float(t_grid[-1])), y0, t_eval=t_grid, rtol=rtol).y
+    for t, column in zip(t_grid, phi.T):
+        peak = np.max(np.abs(column))
+        if abs(column[-1]) > SPILL_TOL * peak:
             raise TruncationError(
-                f"boundary spill {st.spill:.2e} > {spill_tol:.2e} at t={st.t}; "
+                f"boundary spill {abs(column[-1]) / peak:.2e} > {SPILL_TOL:.2e} at t={t}; "
                 f"the chain needs more than {ia.size} sites")
-    return states
+    return phi
 
 
-def k_complexity_numeric(s: ChainState):
-    """(K, variance, Z) of the normalized wavefunction |phi_n|^2/Z."""
-    w = np.abs(s.phi) ** 2
+def k_complexity_numeric(phi):
+    """(K, variance, Z) of the normalized wavefunction |phi_n|^2/Z of one
+    column of chain amplitudes."""
+    w = np.abs(phi) ** 2
     z = float(np.sum(w))
     if z < 1e-300:
         raise NumericalContractError("wavefunction norm underflowed; rescale")
@@ -252,7 +235,7 @@ def k_complexity_numeric(s: ChainState):
 def meixner_n_trunc(p: MeixnerParams, t_max: float) -> int:
     """Truncation index keeping the exact-solution boundary weight small:
     the first n past the peak of phi_n(t_max) where phi_n falls below
-    DEFAULT_SPILL_TOL/10 of the peak, and at least 50.
+    SPILL_TOL/10 of the peak, and at least 50.
 
     With r = sqrt(1-u^2) tanh t/(1 + u tanh t), log phi_n = n log r
     + [lgamma(eta+n) - lgamma(n+1)]/2 + const and phi_(n+1)/phi_n =
@@ -272,7 +255,7 @@ def meixner_n_trunc(p: MeixnerParams, t_max: float) -> int:
         return n * log_r + 0.5 * (math.lgamma(p.eta + n) - math.lgamma(n + 1.0))
 
     peak = max(0, math.floor((r * r * p.eta - 1.0) / (1.0 - r * r)) + 1)
-    cut = log_phi(peak) + math.log(DEFAULT_SPILL_TOL / 10.0)
+    cut = log_phi(peak) + math.log(SPILL_TOL / 10.0)
     lo, hi = peak, peak + 1   # phi_lo is above the cut; is phi_hi below it?
     while log_phi(hi) >= cut:
         lo, hi = hi, 2 * hi - peak

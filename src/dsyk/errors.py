@@ -34,15 +34,7 @@ class NumericalContractError(DsykError):
 
 
 class MomentDegeneracyError(NumericalContractError):
-    """Division by a vanishing pivot in the moment recursion.
-
-    Attributes n, k identify the failing recursion entry.
-    """
-
-    def __init__(self, n, k, message=None):
-        self.n = n
-        self.k = k
-        super().__init__(message or f"vanishing pivot at recursion entry (n={n}, k={k})")
+    """Division by a vanishing pivot in the moment recursion."""
 
 
 class TruncationError(NumericalContractError):

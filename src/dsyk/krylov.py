@@ -60,12 +60,6 @@ class HessenbergMatrix:
     h: np.ndarray
     basis_dim: int
 
-    def diagonal(self):
-        return np.diagonal(self.h)[: self.basis_dim]
-
-    def subdiagonal(self):
-        return np.diagonal(self.h, -1)[: self.basis_dim - 1].real
-
 
 @dataclass
 class TridiagonalCoeffs:
@@ -201,18 +195,16 @@ def hessenberg_error(hm: HessenbergMatrix):
     return eps
 
 
-def diagonal_slope_fit(hm: HessenbergMatrix, n_min=1, n_max=None):
-    """Least-squares slope of Im h_(n,n) against n over [n_min, n_max].
+def diagonal_slope_fit(hm: HessenbergMatrix, n_max):
+    """Least-squares slope of Im h_(n,n) against n over [1, n_max].
 
     Returns (slope, r_squared); divide by mu to estimate the growth
     exponent chi.
     """
-    if n_max is None:
-        n_max = hm.basis_dim - 1
     n_max = min(n_max, hm.basis_dim - 1)
-    ns = np.arange(n_min, n_max + 1)
+    ns = np.arange(1, n_max + 1)
     if ns.size < 2:
-        raise FitError(f"fit window [{n_min}, {n_max}] has fewer than 2 diagonal entries")
+        raise FitError(f"fit window [1, {n_max}] has fewer than 2 diagonal entries")
     ys = np.imag(np.diagonal(hm.h)[ns])
     slope, intercept = np.polyfit(ns, ys, 1)
     resid = ys - (slope * ns + intercept)

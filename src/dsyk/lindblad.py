@@ -9,37 +9,13 @@ the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 from .majorana import OperatorVector, SykHamiltonian, liouvillian_apply
 
 
-@dataclass(frozen=True, eq=False)
-class DissipativeModel:
-    hamiltonian: SykHamiltonian
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValidationError(f"dissipation strength mu={self.mu} must be >= 0")
-
-    @property
-    def n(self):
-        return self.hamiltonian.n
-
-    @property
-    def q(self):
-        return self.hamiltonian.q
-
-    @property
-    def mu_tilde(self) -> float:
-        return self.mu * self.hamiltonian.q
-
-
-def dissipator_apply(model: DissipativeModel, o: OperatorVector) -> OperatorVector:
+def dissipator_apply(mu: float, o: OperatorVector) -> OperatorVector:
     """L_D O = (i mu / 2)(N O - P (sum_k gamma_k O gamma_k) P), P the fermion parity.
 
     gamma_k gamma_S gamma_k is -gamma_S for k outside an odd string S and
@@ -52,11 +28,10 @@ def dissipator_apply(model: DissipativeModel, o: OperatorVector) -> OperatorVect
     and the X and Y terms cancel unless x and y agree on qubit j:
     P (gamma_2j O gamma_2j + gamma_2j+1 O gamma_2j+1) P [x, y]
     = 2 [x_j = y_j] p_j(x) p_j(y) O[x ^ bit_j, y ^ bit_j], with p_j(x) the
-    parity of the qubits after j.
+    parity of the qubits after j.  A negative mu raises ValidationError.
     """
-    if model.n != o.n:
-        raise ValidationError(
-            f"model N={model.n} incompatible with operator N={o.n}")
+    if mu < 0:
+        raise ValidationError(f"dissipation strength mu={mu} must be >= 0")
     m = o.matrix
     out = o.n * m
     p = np.ones(1)   # p_j over the states of the qubits after j
@@ -67,10 +42,10 @@ def dissipator_apply(model: DissipativeModel, o: OperatorVector) -> OperatorVect
         out6[:, 0, :, :, 0, :] -= sign * m6[:, 1, :, :, 1, :]
         out6[:, 1, :, :, 1, :] -= sign * m6[:, 0, :, :, 0, :]
         p = np.concatenate([p, -p])
-    out *= 0.5j * model.mu
+    out *= 0.5j * mu
     return OperatorVector(o.n, out)
 
 
-def lindbladian_apply(model: DissipativeModel, o: OperatorVector) -> OperatorVector:
+def lindbladian_apply(h: SykHamiltonian, mu: float, o: OperatorVector) -> OperatorVector:
     """L O = [H, O] + L_D O."""
-    return liouvillian_apply(model.hamiltonian, o) + dissipator_apply(model, o)
+    return liouvillian_apply(h, o) + dissipator_apply(mu, o)

@@ -17,7 +17,6 @@ unchanged on Fractions, on other exact numbers and on complex floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -49,48 +48,13 @@ def _binomial_product(p, q, k):
     return out
 
 
-@dataclass(frozen=True)
-class MomentPolynomial:
-    """Exact polynomial in u = i*mu_tilde with rational coefficients."""
-
-    coeffs: tuple
-
-    @property
-    def degree(self):
-        t = _ptrim(self.coeffs)
-        return len(t) - 1 if t else -1
-
-    def __call__(self, u):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, MomentPolynomial):
-            return _ptrim(self.coeffs) == _ptrim(other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(_ptrim(self.coeffs))
-
-    def __repr__(self):
-        t = _ptrim(self.coeffs)
-        if not t:
-            return "MomentPolynomial(0)"
-        parts = []
-        for k, c in enumerate(t):
-            if c == 0:
-                continue
-            parts.append(f"{c}" if k == 0 else (f"u^{k}" if c == 1 else f"{c}*u^{k}"))
-        return "MomentPolynomial(" + " + ".join(parts) + ")"
-
-
 def moments_from_g(n_max: int):
     """Rescaled moments mt_n of 1 + g(t)/q as exact polynomials in u.
 
     Returns a list indexed by n: entry 0 is the normalization moment
     m_0 = 1, entry n >= 1 is mt_n (the physical moment is m_n = (2/q) mt_n).
+    Each is the tuple of its Fraction coefficients on u^0, u^1, ..., with
+    no trailing zeros.
 
     Works in v = u/2 and the variable x = it, where d^2/dx^2 = -d^2/dt^2:
     with J = 1 the function f = e^(g/2) satisfies
@@ -119,19 +83,23 @@ def moments_from_g(n_max: int):
         h.append([0])   # the i = k term of the sum is H_k F_0 = H_k
         rest = _binomial_product(h, f, k)
         h[k] = [c - rest[j] if j < len(rest) else c for j, c in enumerate(f[k + 1])]
-    out = [MomentPolynomial((Fraction(1),))]
-    for hk in h:
-        out.append(MomentPolynomial(tuple(Fraction(c, 2 ** j)
-                                          for j, c in enumerate(_ptrim(hk)))))
-    return out
+    return [(Fraction(1),)] + [tuple(Fraction(c, 2 ** j) for j, c in enumerate(_ptrim(hk)))
+                               for hk in h]
 
 
 def large_q_moment_sequence(q: int, mu_tilde, n_max: int, polys) -> list:
     """Physical moments m_0 = 1, m_n = (2/q) mt_n(u = i*mu_tilde) of the
     large-q model, as complex floats; polys is a ``moments_from_g`` result
-    reaching at least n_max."""
+    reaching at least n_max.  Each polynomial is evaluated by Horner's rule
+    from its highest coefficient down."""
     u = 1j * mu_tilde
-    return [1] + [(2 * polys[n](u)) / q for n in range(1, n_max + 1)]
+    out = [1]
+    for p in polys[1:n_max + 1]:
+        acc = 0
+        for c in reversed(p):
+            acc = acc * u + c
+        out.append(2 * acc / q)
+    return out
 
 
 def moments_to_tridiagonal(m, n_max: int) -> TridiagonalCoeffs:
@@ -151,7 +119,7 @@ def moments_to_tridiagonal(m, n_max: int) -> TridiagonalCoeffs:
         raise ValidationError(
             f"need m_0..m_{need - 1} for n_max={n_max}, got {len(values)} moments")
     if values[0] == 0:
-        raise MomentDegeneracyError(0, 0, "m_0 vanishes")
+        raise MomentDegeneracyError("m_0 vanishes")
     row_prev = values[:need]            # sigma_0, valid for all l
     row_pprev = None
     a = [values[1] / values[0]]
@@ -163,10 +131,8 @@ def moments_to_tridiagonal(m, n_max: int) -> TridiagonalCoeffs:
             if k >= 2:
                 s = s - b_sq[k - 2] * row_pprev[l]
             row[l] = s
-        if row_prev[k - 1] == 0:
-            raise MomentDegeneracyError(k - 1, k - 1)
-        if row[k] == 0:
-            raise MomentDegeneracyError(k, k)
+        if row[k] == 0:   # sigma_(k-1,k-1) was checked a step earlier, or is m_0
+            raise MomentDegeneracyError(f"vanishing pivot sigma_({k},{k})")
         b_sq.append(row[k] / row_prev[k - 1])
         a.append(row[k + 1] / row[k] - row_prev[k] / row_prev[k - 1])
         row_pprev, row_prev = row_prev, row

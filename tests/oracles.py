@@ -21,7 +21,6 @@ import sympy as sp
 from dsyk.errors import FitError, ValidationError
 from dsyk.krylov import TridiagonalCoeffs
 from dsyk.majorana import OperatorVector
-from dsyk.moments import MomentPolynomial
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -506,13 +505,13 @@ def string_liouvillian_apply(h, o):
     return StringOperator(o.n, support, acc[support], o.prune)
 
 
-def string_lindbladian_apply(model, o):
+def string_lindbladian_apply(h, mu, o):
     """[H, O] plus the diagonal dissipator i mu s on each size-s string."""
-    diss = StringOperator(o.n, o.masks, o.vals * (1j * model.mu * o.sizes()), o.prune)
-    return string_liouvillian_apply(model.hamiltonian, o) + diss
+    diss = StringOperator(o.n, o.masks, o.vals * (1j * mu * o.sizes()), o.prune)
+    return string_liouvillian_apply(h, o) + diss
 
 
-def dissipator_oracle(model, o):
+def dissipator_oracle(mu, o):
     """Literal jump-operator dissipator, parity branch chosen explicitly.
 
     L_D O = -i sum_k [ -+ L_k^dag O L_k - (1/2){L_k^dag L_k, O} ] with the
@@ -528,7 +527,7 @@ def dissipator_oracle(model, o):
         raise ParityError("dissipator sign rule needs a parity-homogeneous operator; "
                           "split even/odd parts first")
     branch = -1.0 if parities.pop() == 1 else 1.0
-    n, mu = o.n, model.mu
+    n = o.n
     acc = {}
     for mask, val in zip(o.masks, o.vals):
         mask = int(mask)
@@ -575,9 +574,17 @@ def dagger(o):
     return OperatorVector(o.n, o.matrix.conj().T)
 
 
+def horner(poly, u):
+    """The moment polynomial poly (coefficients on u^0, u^1, ...) at u."""
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * u + c
+    return acc
+
+
 def has_parity_of(poly, n: int) -> bool:
-    """True when only powers u^n, u^(n-2), ... appear in a MomentPolynomial."""
-    return all(c == 0 for k, c in enumerate(poly.coeffs) if (k - n) % 2)
+    """True when only powers u^n, u^(n-2), ... appear in a moment polynomial."""
+    return all(c == 0 for k, c in enumerate(poly) if (k - n) % 2)
 
 
 def _padd(p, q):
@@ -630,12 +637,12 @@ def series_moments_from_g(n_max: int):
         for i in range(k):
             hk = _padd(hk, _pscale(_pmul(h[i], r[k - i]), Fraction(-1)))
         h.append(hk)
-    out = [MomentPolynomial((Fraction(1),))]
+    out = [(Fraction(1),)]
     for n in range(1, n_max + 1):
         mt = list(_pscale(_pscale(h[n - 1], Fraction(2, n)), Fraction(factorial(n), 2)))
         while mt and mt[-1] == 0:
             mt.pop()
-        out.append(MomentPolynomial(tuple(mt)))
+        out.append(tuple(mt))
     return out
 
 
@@ -770,17 +777,17 @@ def tail_decay_rate(u: float) -> float:
     return math.log((1.0 + u) / math.sqrt(1.0 - u ** 2))
 
 
-def stationary_tail_fit(s, n_window, eta=None) -> float:
-    """Exponential decay length xi of |phi_n| of a ChainState over n in [n_lo, n_hi].
+def stationary_tail_fit(phi, n_window, eta=None) -> float:
+    """Exponential decay length xi of chain amplitudes |phi_n| over n in [n_lo, n_hi].
 
     With eta supplied, the stationary n^((eta-1)/2) power-law prefactor is
     divided out first.  The tail must be positive and strictly decreasing.
     """
     n_lo, n_hi = n_window
-    if not 0 <= n_lo < n_hi <= s.n_trunc:
-        raise FitError(f"window {n_window} outside chain range 0..{s.n_trunc}")
+    if not 0 <= n_lo < n_hi < phi.size:
+        raise FitError(f"window {n_window} outside chain range 0..{phi.size - 1}")
     ns = np.arange(n_lo, n_hi + 1)
-    y = np.abs(s.phi[n_lo: n_hi + 1])
+    y = np.abs(phi[n_lo: n_hi + 1])
     if np.any(y <= 0.0):
         raise FitError("tail contains zero amplitudes")
     if eta is not None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import tempfile
 import time
@@ -36,7 +37,7 @@ def test_moments_outputs_and_reproducibility(tmp_path):
     assert header == ["n", "degree", "coeffs_ascending_u"]
     # mt_4 = u^2 + 2
     row4 = next(r for r in rows if r[0] == "4")
-    assert row4[2] == "2;0;1"
+    assert row4[1:] == ["2", "2;0;1"]
 
 
 def test_moments_tridiagonal_closed_system(tmp_path):
@@ -134,24 +135,53 @@ def test_counts_below_one_exit_code(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["finite-n-arnoldi", "--n", "8", "--mu", "nan", "--nmax", "3"],
+    ["finite-n-arnoldi", "--n", "8", "--mu", "inf", "--nmax", "3"],
+    ["finite-n-arnoldi", "--n", "8", "--coupling", "nan", "--nmax", "3"],
+    ["finite-n-arnoldi", "--n", "8", "--mu", "-0.1", "--nmax", "3"],
+    ["large-n", "--q", "4", "--mu", "-0.1"],
+    ["large-n", "--q", "4", "--mu", "nan"],
+    ["large-n", "--q", "4", "--mu", "inf"],
+    ["large-n", "--q-inf", "--mu", "-0.1"],
+    ["meixner", "--u", "0.1", "--eta", "nan"],
+    ["moments", "--mu-tilde", "nan"],
+])
+def test_non_finite_or_negative_floats_exit_code(tmp_path, argv):
+    # refused before any file is written, not run on nan or as the closed system
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    assert not list(tmp_path.iterdir())
+
+
 # small, bad or unparsable values for each subcommand's flags (None: a switch);
-# sizes stay small enough that no case builds a big graph.  The keys are
-# every option each subcommand has, as the README documents them
+# sizes stay small enough that no case builds a big graph, and every float
+# flag also draws nan and inf.  The keys are every option each subcommand
+# has, as the README documents them
+_NON_FINITE = ["nan", "inf"]
 _FLAG_VALUES = {
     "finite-n-arnoldi": {"--n": ["-2", "0", "3", "4", "6", "x"],
                          "--q": ["-2", "0", "2", "3", "4", "8"],
-                         "--mu": ["-1", "0", "0.05"], "--nmax": ["-1", "0", "1", "3"],
-                         "--seed": ["-1", "0", "2"], "--coupling": ["-1", "0", "1"]},
+                         "--mu": ["-1", "0", "0.05", *_NON_FINITE],
+                         "--nmax": ["-1", "0", "1", "3"], "--seed": ["-1", "0", "2"],
+                         "--coupling": ["-1", "0", "1", *_NON_FINITE]},
     "large-n": {"--q": ["-2", "0", "2", "3", "4", "6"], "--q-inf": None,
-                "--mu": ["-0.1", "0", "0.1"], "--nmax": ["-1", "0", "1", "4"]},
+                "--mu": ["-0.1", "0", "0.1", *_NON_FINITE],
+                "--nmax": ["-1", "0", "1", "4"]},
     "moments": {"--nmax": ["-1", "0", "1", "2", "6"], "--q": ["-2", "0", "1", "4"],
-                "--mu-tilde": ["-0.5", "0", "0.1", "2"]},
-    "meixner": {"--u": ["-1", "0", "0.1", "1", "1.5"], "--eta": ["-1", "0", "0.5"],
-                "--tmax": ["-1", "0", "1"], "--points": ["-1", "0", "1", "3"]},
-    "evolve": {"--u": ["-1", "0", "0.1", "1"], "--eta": ["-1", "0", "0.5"],
-               "--tmax": ["-1", "0", "0.5"], "--points": ["-1", "0", "1", "3"],
-               "--dt-tol": ["-1", "0", "1e-6"]},
+                "--mu-tilde": ["-0.5", "0", "0.1", "2", *_NON_FINITE]},
+    "meixner": {"--u": ["-1", "0", "0.1", "1", "1.5", *_NON_FINITE],
+                "--eta": ["-1", "0", "0.5", *_NON_FINITE],
+                "--tmax": ["-1", "0", "1", *_NON_FINITE], "--points": ["-1", "0", "1", "3"]},
+    "evolve": {"--u": ["-1", "0", "0.1", "1", *_NON_FINITE],
+               "--eta": ["-1", "0", "0.5", *_NON_FINITE],
+               "--tmax": ["-1", "0", "0.5", *_NON_FINITE], "--points": ["-1", "0", "1", "3"],
+               "--dt-tol": ["-1", "0", "1e-6", *_NON_FINITE]},
 }
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
+
+
+def _sysconf_with_4_gib_available(name, sysconf=os.sysconf):
+    return 4 * 2 ** 30 // _PAGE_SIZE if name == "SC_AVPHYS_PAGES" else sysconf(name)
 
 
 @st.composite
@@ -169,7 +199,11 @@ def cli_argvs(draw):
 @given(cli_argvs())
 @settings(max_examples=80, deadline=None)
 def test_every_command_line_exits_with_a_documented_code(argv):
-    with tempfile.TemporaryDirectory() as out:
+    # the memory guards read 4 GiB available on every machine, so that a draw
+    # such as evolve --u 0 at the default --tmax (70.7 million sites) exits 3
+    # whatever the host has free
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sysconf", _sysconf_with_4_gib_available)
         try:
             code = main(["--out", out] + argv)
         except SystemExit as e:   # argparse rejects the command line with code 2

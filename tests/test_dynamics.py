@@ -7,12 +7,7 @@ import pytest
 
 from dsyk import dynamics
 from dsyk.analytic import MeixnerParams, meixner_tridiagonal
-from dsyk.dynamics import (
-    ChainState,
-    evolve_chain,
-    k_complexity_numeric,
-    meixner_n_trunc,
-)
+from dsyk.dynamics import evolve_chain, k_complexity_numeric, meixner_n_trunc
 from dsyk.errors import (
     FitError,
     NumericalContractError,
@@ -31,6 +26,14 @@ from oracles import (
 
 def toy_chain(n=40, u=0.1, eta=1.0):
     return meixner_tridiagonal(MeixnerParams(u=u, eta=eta), n)
+
+
+def solve_chain(c, grid, rtol):
+    """dynamics.solve_ivp on c's whole chain from phi_n(0) = delta_(n,0),
+    without evolve_chain's check of the boundary spill."""
+    y0 = np.eye(1, len(c.a))[0]
+    return dynamics.solve_ivp((np.real(1j * c.a_array()), np.real(c.b_array())),
+                              (0.0, grid[-1]), y0, t_eval=grid, rtol=rtol)
 
 
 def test_grid_validation():
@@ -53,12 +56,12 @@ def test_complex_ia_rejected():
     # a_n with a real part make i a_n complex: not a real chain
     c = TridiagonalCoeffs(a=[0.5, 0.0, 0.0], b_sq=[1.0, 1.0])
     with pytest.raises(ValidationError):
-        evolve_chain(c, [0.0, 0.1], spill_tol=np.inf)
+        evolve_chain(c, [0.0, 0.1])
 
 
 def test_two_site_chain_rejected():
     with pytest.raises(ValidationError):
-        evolve_chain(toy_chain(1), [0.0, 0.1], spill_tol=np.inf)
+        evolve_chain(toy_chain(1), [0.0, 0.1])
 
 
 def test_singular_newton_matrix_raises():
@@ -76,11 +79,11 @@ def test_evolution_matches_matrix_exponential(c):
     grid = [0.0, 0.5, 1.0, 1.5]
     # the expm oracle lives on the same truncated chain, so boundary spill
     # is irrelevant to this comparison
-    states = evolve_chain(c, grid, spill_tol=np.inf)
-    for st in states:
-        assert st.phi.dtype == np.float64
-        ref = chain_evolution_expm(c.a_array(), np.real(c.b_array()), st.t)
-        assert np.max(np.abs(st.phi - ref)) < 1e-9
+    phi = solve_chain(c, grid, rtol=1e-11).y
+    for t, column in zip(grid, phi.T):
+        assert column.dtype == np.float64
+        ref = chain_evolution_expm(c.a_array(), np.real(c.b_array()), t)
+        assert np.max(np.abs(column - ref)) < 1e-9
 
 
 def test_step_size_underflow_raises():
@@ -90,17 +93,16 @@ def test_step_size_underflow_raises():
                            t_eval=[1e16 + 64], rtol=1e-9)
 
 
-def test_rejected_steps_keep_the_accuracy(monkeypatch):
+def test_rejected_steps_keep_the_accuracy():
     # the wave of a short closed chain reflects off its wall over and over;
     # steps sized on the free spreading then fail their error test
-    calls = record_solves(monkeypatch)
     c = toy_chain(10, u=0.0, eta=1.5)
-    states = evolve_chain(c, [0.0, 5.0, 10.0], rtol=1e-9, spill_tol=np.inf)
-    ((_, res),) = calls
+    grid = [0.0, 5.0, 10.0]
+    res = solve_chain(c, grid, rtol=1e-9)
     assert res.nreject > 0
-    for st in states:
-        ref = chain_evolution_expm(c.a_array(), np.real(c.b_array()), st.t)
-        assert np.max(np.abs(st.phi - ref)) < 1e-9
+    for t, column in zip(grid, res.y.T):
+        ref = chain_evolution_expm(c.a_array(), np.real(c.b_array()), t)
+        assert np.max(np.abs(column - ref)) < 1e-9
 
 
 def test_evolution_matches_meixner_closed_form():
@@ -108,12 +110,12 @@ def test_evolution_matches_meixner_closed_form():
     n_trunc = meixner_n_trunc(p, t_max=4.0)
     c = meixner_tridiagonal(p, n_trunc)
     grid = np.linspace(0.0, 4.0, 9)
-    states = evolve_chain(c, grid)
-    for st in states:
-        ref = meixner_wavefunction(np.arange(n_trunc + 1), st.t, p)
+    phi = evolve_chain(c, grid)
+    for t, column in zip(grid, phi.T):
+        ref = meixner_wavefunction(np.arange(n_trunc + 1), t, p)
         # chain amplitudes are real and positive in this convention
-        assert st.phi.dtype == np.float64
-        assert np.max(np.abs(st.phi - ref)) < 1e-9
+        assert column.dtype == np.float64
+        assert np.max(np.abs(column - ref)) < 1e-9
 
 
 def record_solves(monkeypatch):
@@ -131,8 +133,9 @@ def record_solves(monkeypatch):
 
 
 def test_meixner_ode_state_has_one_real_entry_per_site(monkeypatch):
+    # by t = 0.1 the front has not reached the 21st site
     calls = record_solves(monkeypatch)
-    evolve_chain(toy_chain(20, u=0.1), [0.0, 0.5], spill_tol=np.inf)
+    evolve_chain(toy_chain(20, u=0.1), [0.0, 0.1])
     ((y0, _),) = calls
     assert y0.shape == (21,)
     assert y0.dtype == np.float64
@@ -168,10 +171,10 @@ def test_damping_does_not_hide_truncation():
 
 @pytest.mark.parametrize("c", [toy_chain(10)], ids=["meixner"])
 def test_one_point_grid_returns_initial_state(c):
-    (st,) = evolve_chain(c, [0.0])
-    assert st.t == 0.0
-    assert st.phi.dtype == np.float64
-    np.testing.assert_array_equal(st.phi, np.eye(1, st.phi.size)[0])
+    phi = evolve_chain(c, [0.0])
+    assert phi.shape == (len(c.a), 1)
+    assert phi.dtype == np.float64
+    np.testing.assert_array_equal(phi[:, 0], np.eye(1, len(c.a))[0])
 
 
 def test_spill_raises_or_flags():
@@ -181,17 +184,23 @@ def test_spill_raises_or_flags():
         evolve_chain(c, grid)
 
 
-def test_chain_state_properties():
-    st = ChainState(phi=np.array([1.0, 0.5, 1e-12]), t=0.0)
-    assert st.n_trunc == 2
-    assert st.spill == pytest.approx(1e-12)
-    zero = ChainState(phi=np.zeros(3), t=0.0)
-    assert zero.spill == 0.0
+def test_spill_is_the_boundary_amplitude_over_the_peak(monkeypatch):
+    # a bound equal to the largest |phi_last| / max |phi| holds, one just
+    # below it fails at that time; at t = 0 only site 0 is occupied
+    c, grid = toy_chain(12, u=0.0, eta=1.0), [0.0, 0.5, 1.0]
+    phi = solve_chain(c, grid, rtol=1e-11).y
+    spill = np.abs(phi[-1]) / np.max(np.abs(phi), axis=0)
+    assert spill[0] == 0.0 and spill.max() > 0.0
+    monkeypatch.setattr(dynamics, "SPILL_TOL", spill.max())
+    np.testing.assert_array_equal(evolve_chain(c, grid), phi)
+    monkeypatch.setattr(dynamics, "SPILL_TOL", 0.999 * spill.max())
+    with pytest.raises(TruncationError, match=f"at t={grid[np.argmax(spill)]};"):
+        evolve_chain(c, grid)
 
 
 def test_k_complexity_numeric_matches_direct_sums():
     phi = np.array([0.5, 0.3 + 0.1j, 0.2, 0.05])
-    k, var, z = k_complexity_numeric(ChainState(phi=phi, t=1.0))
+    k, var, z = k_complexity_numeric(phi)
     k_ref, var_ref = direct_k_and_variance(phi)
     assert k == pytest.approx(k_ref)
     assert var == pytest.approx(var_ref)
@@ -200,24 +209,23 @@ def test_k_complexity_numeric_matches_direct_sums():
 
 def test_k_complexity_underflow_guard():
     with pytest.raises(NumericalContractError):
-        k_complexity_numeric(ChainState(phi=np.zeros(4), t=0.0))
+        k_complexity_numeric(np.zeros(4))
 
 
 def test_stationary_tail_fit_recovers_decay_length():
     p = MeixnerParams(u=0.2, eta=1.5)
     ns = np.arange(301)
     phi = meixner_wavefunction(ns, 25.0, p)
-    st = ChainState(phi=phi, t=25.0)
-    xi = stationary_tail_fit(st, (150, 250), eta=p.eta)
+    xi = stationary_tail_fit(phi, (150, 250), eta=p.eta)
     rate = math.log((1 + 0.2) / math.sqrt(1 - 0.2 ** 2))
     assert xi == pytest.approx(1.0 / rate, rel=1e-3)
 
 
 def test_stationary_tail_fit_rejects_bad_windows():
-    st = ChainState(phi=np.array([1.0, 0.5, 0.25, 0.125]), t=1.0)
+    decaying = np.array([1.0, 0.5, 0.25, 0.125])
     with pytest.raises(FitError):
-        stationary_tail_fit(st, (2, 9))
-    growing = ChainState(phi=np.array([0.1, 0.2, 0.4, 0.8]), t=1.0)
+        stationary_tail_fit(decaying, (2, 9))
+    growing = np.array([0.1, 0.2, 0.4, 0.8])
     with pytest.raises(FitError):
         stationary_tail_fit(growing, (0, 3))
 

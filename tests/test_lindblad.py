@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsyk.errors import ValidationError
-from dsyk.lindblad import DissipativeModel, dissipator_apply, lindbladian_apply
+from dsyk.lindblad import dissipator_apply, lindbladian_apply
 from dsyk.majorana import OperatorVector, liouvillian_apply, sample_syk
 from oracles import (
     ParityError,
@@ -20,85 +20,77 @@ from oracles import (
 
 N_DENSE = 6
 GAMMAS = dense_gammas(N_DENSE)
-
-
-def model(n=N_DENSE, mu=0.3, q=4, seed=1):
-    return DissipativeModel(hamiltonian=sample_syk(n, q, 1.0, seed), mu=mu)
+MU = 0.3
 
 
 def test_mu_validation():
+    o = OperatorVector.basis_string(N_DENSE, 0b1)
     with pytest.raises(ValidationError):
-        model(mu=-0.1)
-
-
-def test_mu_tilde():
-    assert model(mu=0.25, q=4).mu_tilde == pytest.approx(1.0)
+        dissipator_apply(-0.1, o)
+    with pytest.raises(ValidationError):
+        lindbladian_apply(sample_syk(N_DENSE, 4, 1.0, 1), -0.1, o)
 
 
 @given(st.integers(min_value=1, max_value=(1 << N_DENSE) - 1))
 @settings(max_examples=100, deadline=None)
 def test_dissipator_scales_strings_by_imus(mask):
-    m = model()
-    res = dissipator_apply(m, OperatorVector.basis_string(N_DENSE, mask))
+    res = dissipator_apply(MU, OperatorVector.basis_string(N_DENSE, mask))
     s = bin(mask).count("1")
-    expected = OperatorVector.basis_string(N_DENSE, mask, 1j * m.mu * s)
+    expected = OperatorVector.basis_string(N_DENSE, mask, 1j * MU * s)
     assert np.array_equal(res.matrix, expected.matrix)
 
 
 @given(st.integers(min_value=0, max_value=(1 << N_DENSE) - 1))
 @settings(max_examples=100, deadline=None)
 def test_oracle_matches_closed_form_per_string(mask):
-    m = model()
-    fast = dissipator_apply(m, OperatorVector.basis_string(N_DENSE, mask))
-    oracle = dissipator_oracle(m, StringOperator.basis_string(N_DENSE, mask))
+    fast = dissipator_apply(MU, OperatorVector.basis_string(N_DENSE, mask))
+    oracle = dissipator_oracle(MU, StringOperator.basis_string(N_DENSE, mask))
     assert (fast - OperatorVector.from_terms(N_DENSE, oracle.terms)).norm() < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=(1 << N_DENSE) - 1))
 @settings(max_examples=60, deadline=None)
 def test_oracle_matches_dense_lindblad_dissipator(mask):
-    m = model()
     o = StringOperator.basis_string(N_DENSE, mask)
     od = dense_operator(GAMMAS, {mask: 1.0})
     fermionic = bin(mask).count("1") % 2 == 1
     dense = (dense_dissipator if fermionic else dense_dissipator_bosonic)(
-        GAMMAS, m.mu, od)
-    res = dense_operator(GAMMAS, dissipator_oracle(m, o).terms)
+        GAMMAS, MU, od)
+    res = dense_operator(GAMMAS, dissipator_oracle(MU, o).terms)
     assert np.allclose(res, dense, atol=1e-12)
 
 
 def test_mixed_parity_rejected_by_oracle():
-    m = model()
     terms = {0b1: 1.0, 0b11: 1.0}
     with pytest.raises(ParityError):
-        dissipator_oracle(m, StringOperator.from_terms(N_DENSE, terms))
+        dissipator_oracle(MU, StringOperator.from_terms(N_DENSE, terms))
     # the closed form is parity-blind and still fine
-    res = dissipator_apply(m, OperatorVector.from_terms(N_DENSE, terms))
-    expected = OperatorVector.from_terms(N_DENSE, {0b1: 1j * m.mu, 0b11: 2j * m.mu})
+    res = dissipator_apply(MU, OperatorVector.from_terms(N_DENSE, terms))
+    expected = OperatorVector.from_terms(N_DENSE, {0b1: 1j * MU, 0b11: 2j * MU})
     assert (res - expected).norm() < 1e-14
 
 
 def test_lindbladian_is_commutator_plus_dissipator():
-    m = model(mu=0.1)
+    h, mu = sample_syk(N_DENSE, 4, 1.0, 1), 0.1
     rng = np.random.default_rng(2)
     terms = {int(msk): complex(*rng.normal(size=2))
              for msk in rng.integers(0, 1 << N_DENSE, size=6)}
     o = OperatorVector.from_terms(N_DENSE, terms)
-    full = lindbladian_apply(m, o)
-    hd = dense_operator(GAMMAS, string_hamiltonian(m.hamiltonian).terms)
+    full = lindbladian_apply(h, mu, o)
+    hd = dense_operator(GAMMAS, string_hamiltonian(h).terms)
     od = dense_operator(GAMMAS, terms)
     commutator = hd @ od - od @ hd
     # the dissipator of each parity part follows its own sign branch
     even = dense_operator(GAMMAS, {k: v for k, v in terms.items()
                                    if bin(k).count("1") % 2 == 0})
     odd = od - even
-    diss = (dense_dissipator_bosonic(GAMMAS, m.mu, even)
-            + dense_dissipator(GAMMAS, m.mu, odd))
+    diss = (dense_dissipator_bosonic(GAMMAS, mu, even)
+            + dense_dissipator(GAMMAS, mu, odd))
     assert np.allclose(full.matrix, commutator + diss, atol=1e-11)
 
 
 def test_mu_zero_reduces_to_commutator():
-    m = model(mu=0.0)
+    h = sample_syk(N_DENSE, 4, 1.0, 1)
     o = OperatorVector.basis_string(N_DENSE, 0b10101)
-    diff = lindbladian_apply(m, o) - liouvillian_apply(m.hamiltonian, o)
+    diff = lindbladian_apply(h, 0.0, o) - liouvillian_apply(h, o)
     assert diff.norm() == 0.0

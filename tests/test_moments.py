@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from dsyk.errors import MomentDegeneracyError, ValidationError
 from dsyk.krylov import TridiagonalCoeffs
 from dsyk.moments import (
-    MomentPolynomial,
     large_q_moment_sequence,
     moments_from_g,
     moments_to_tridiagonal,
 )
 from oracles import (
-    has_parity_of, jacobi_moments, series_moments_from_g, tridiagonal_to_series)
+    has_parity_of, horner, jacobi_moments, series_moments_from_g, tridiagonal_to_series)
 
 F = Fraction
 
@@ -35,7 +34,7 @@ MT_TABLE = {
 def test_moment_polynomial_table():
     polys = moments_from_g(8)
     for n, coeffs in MT_TABLE.items():
-        assert polys[n] == MomentPolynomial(tuple(F(c) for c in coeffs))
+        assert polys[n] == tuple(F(c) for c in coeffs)
 
 
 def test_integer_recursion_matches_fraction_series():
@@ -44,7 +43,7 @@ def test_integer_recursion_matches_fraction_series():
     fast, ref = moments_from_g(40), series_moments_from_g(40)
     assert fast == ref
     for p, r in zip(fast, ref):
-        assert [str(c) for c in p.coeffs] == [str(c) for c in r.coeffs]
+        assert [str(c) for c in p] == [str(c) for c in r]
 
 
 def test_moment_polynomial_parity():
@@ -56,15 +55,20 @@ def test_moment_polynomial_parity():
 def test_first_moment_is_dissipative_diagonal():
     # mt_1 = u/2, i.e. m_1 = (2/q) mt_1(i mu~) = i mu: the a_0 = i mu s
     # diagonal with s = 1
-    assert moments_from_g(3)[1] == MomentPolynomial((F(0), F(1, 2)))
+    assert moments_from_g(3)[1] == (F(0), F(1, 2))
 
 
-def test_moment_polynomial_call_and_repr():
-    p = MomentPolynomial((F(2), F(0), F(1)))
-    assert p(3) == 11
-    assert p(1j) == 1
-    assert p.degree == 2
-    assert "u^2" in repr(p)
+def test_moment_polynomials_have_no_trailing_zeros():
+    # the CSV's degree column is the tuple length less one
+    assert all(p[-1] != 0 for p in moments_from_g(20))
+
+
+def test_large_q_moment_sequence_evaluates_each_polynomial():
+    # m_1 = (2/q) mt_1(i mu~) with mt_1 = 2 + u^2: 2 + (3i)^2 = -7 at mu~ = 3
+    # and 2 + i^2 = 1 at mu~ = 1
+    polys = [(F(1),), (F(2), F(0), F(1))]
+    assert large_q_moment_sequence(2, 3.0, 1, polys) == [1, -7]
+    assert large_q_moment_sequence(4, 1.0, 1, polys) == [1, 0.5]
 
 
 def test_moments_from_g_bounds():
@@ -148,7 +152,7 @@ def test_large_q_continued_fraction_identity():
     polys = moments_from_g(n_max + 2)
     series = [sp.Integer(1)]
     for n in range(1, n_max + 1):
-        series.append(sp.expand(polys[n + 2].__call__(u)))
+        series.append(sp.expand(horner(polys[n + 2], u)))
     a = [(k + 1) * u for k in range(n_max // 2 + 1)]
     b_sq = [sp.Integer(k * (k + 1)) for k in range(1, n_max // 2 + 1)]
     c = TridiagonalCoeffs(a=a, b_sq=b_sq)
