@@ -30,6 +30,7 @@ from .lindblad import lindbladian_apply
 from .krylov import diagonal_slope_fit, hessenberg_error, lanczos
 from .largen import (
     DiagramSpace,
+    check_q,
     lanczos_large_n,
     make_dissipative_apply,
     size_distribution,
@@ -58,7 +59,7 @@ def _out_dir(args):
 
 def write_csv(path, manifest, header, rows):
     with open(path, "w") as f:
-        f.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
+        f.write("# " + json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n")
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
@@ -181,12 +182,14 @@ def cmd_finite_n_arnoldi(args):
 
 def cmd_large_n(args):
     _require_counts(("--nmax", args.nmax))
+    check_q(args.q)   # with --q-inf too, where --q labels the sizes
     out_dir = _out_dir(args)
     q = None if args.q_inf else args.q
     if args.mu > 0:
         if q is None:
             raise ValidationError("dissipative large-N Arnoldi needs a finite --q")
         space = DiagramSpace(q=q)
+        space.trees.successors(args.nmax)   # the run reaches generation nmax + 1
         apply = make_dissipative_apply(space, args.mu)
         hm, _ = arnoldi(apply, space.vacuum_state(), args.nmax)
         eps = hessenberg_error(hm)
@@ -260,9 +263,10 @@ def cmd_meixner(args):
         p = MeixnerParams(u=u, eta=args.eta)
         ks = k_complexity_exact(ts, p)
         vs = variance_exact(ts, p)
+        k_sat, var_sat = (x if math.isfinite(x) else None   # u = 0: no plateau
+                          for x in (k_saturation(p), variance_saturation(p)))
         manifest = _manifest(args, u=u, eta=args.eta, tmax=args.tmax,
-                             k_saturation=k_saturation(p),
-                             variance_saturation=variance_saturation(p))
+                             k_saturation=k_sat, variance_saturation=var_sat)
         rows = [(float(t), float(k), float(v)) for t, k, v in zip(ts, ks, vs)]
         write_csv(out_dir / f"meixner_u{u}.csv", manifest, ["t", "K", "var"], rows)
         print(f"wrote meixner_u{u}.csv")

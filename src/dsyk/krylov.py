@@ -1,11 +1,12 @@
 """One monic Krylov recurrence over abstract operator spaces.
 
-``lanczos`` needs only the vector operations +, -, scalar * and an inner
-product, so it runs unchanged over numpy arrays, Jordan-Wigner Majorana
-operators, float diagram states and exact rational diagram states.  Each
-step projects the new vector on the whole basis and then reorthogonalizes
-it once more: the structural diagnostics (the per-column deviation from a
-symmetric tridiagonal matrix) are meaningless under Gram-Schmidt drift.
+``lanczos`` calls two methods of its vectors, ``v.inner(u)`` and
+``u.iaxpy(c, v)`` (u += c v on the fresh vector the map returned), and a
+scalar product, so it runs unchanged over Jordan-Wigner Majorana
+operators and float or exact rational diagram states.  Each step projects
+the new vector on the whole basis and then reorthogonalizes it once more:
+the structural diagnostics (the per-column deviation from a symmetric
+tridiagonal matrix) are meaningless under Gram-Schmidt drift.
 What the loop records depends on the map: for a Hermitian map the
 tridiagonal chain coefficients a_n, b_n^2 (TridiagonalCoeffs), for a
 general map, such as the Lindbladian, the Hessenberg matrix of all the
@@ -27,25 +28,6 @@ from .errors import FitError, NumericalContractError
 HERMITICITY_RTOL = 1e-8
 # the Krylov space has closed when a new vector's norm falls this far below scale
 BREAKDOWN_RTOL = 1e-10
-
-
-def _dot(a, b):
-    """<a, b> in the vector type's own scalar ring, conjugate-linear in a."""
-    if isinstance(a, np.ndarray):
-        return np.vdot(a, b)
-    return a.inner(b)
-
-
-def _axpy(u, c, v):
-    """u + c*v; mutates u in place when the vector type supports iaxpy.
-
-    Only ever called on freshly produced residual vectors, never on stored
-    basis elements.
-    """
-    if hasattr(u, "iaxpy"):
-        u.iaxpy(c, v)
-        return u
-    return u + c * v
 
 
 @dataclass
@@ -121,7 +103,7 @@ def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True):
     (and where that last application would be by far the most expensive).
     """
     basis = [u0]
-    norms = [_dot(u0, u0).real]
+    norms = [u0.inner(u0).real]
     a = []
     b_sq = []
     proj = np.zeros((n_max + 1, n_max + 1), dtype=complex)   # c_jk
@@ -133,9 +115,9 @@ def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True):
         u = apply(basis[k])
         h = norms[k]
         if scale is None:
-            scale = max(math.sqrt(abs(_dot(u, u)) / abs(h)), 1e-300)
+            scale = max(math.sqrt(abs(u.inner(u)) / abs(h)), 1e-300)
         if hermitian:
-            ak = _dot(basis[k], u) / h
+            ak = basis[k].inner(u) / h
             if abs(ak.imag) > HERMITICITY_RTOL * scale:
                 raise NumericalContractError(
                     f"non-Hermitian map: a_{k} = {ak} has large imaginary part")
@@ -144,27 +126,27 @@ def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True):
                 # |back - h_k| <= rtol * scale * sqrt(h_k h_(k-1)), divided by h_k
                 # so that it still holds where the norms, which shrink
                 # geometrically at large q, underflow
-                back = _dot(basis[k - 1], u)
+                back = basis[k - 1].inner(u)
                 if abs(back / h - 1) > HERMITICITY_RTOL * scale / math.sqrt(abs(b_sq[-1])):
                     raise NumericalContractError(
                         f"non-Hermitian map: back-coupling {back} != h_{k} = {h}")
-                u = _axpy(u, -b_sq[-1], basis[k - 1])
-            u = _axpy(u, -a[-1], basis[k])
+                u.iaxpy(-b_sq[-1], basis[k - 1])
+            u.iaxpy(-a[-1], basis[k])
         else:
-            proj[: k + 1, k] = [_dot(v, u) / hv for v, hv in zip(basis, norms)]
+            proj[: k + 1, k] = [v.inner(u) / hv for v, hv in zip(basis, norms)]
             for v, c in zip(basis, proj[: k + 1, k]):
-                u = _axpy(u, -c, v)
+                u.iaxpy(-c, v)
         for j, (v, hv) in enumerate(zip(basis, norms)):
-            c = _dot(v, u) / hv
+            c = v.inner(u) / hv
             if not isinstance(c, numbers.Rational):
-                u = _axpy(u, -c, v)
+                u.iaxpy(-c, v)
                 proj[j, k] += c
             elif c:
                 raise NumericalContractError(
                     f"monic recurrence lost exact orthogonality at step {k}")
         if k == n_max:
             break
-        h_next = _dot(u, u).real
+        h_next = u.inner(u).real
         if h_next / h <= (BREAKDOWN_RTOL * scale) ** 2:
             break
         b_sq.append(h_next / h)

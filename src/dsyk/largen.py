@@ -60,12 +60,17 @@ def _lincomb(x, a, y, b):
     return {n: v for n, v in out.items() if v.any()}
 
 
+def check_q(q):
+    """Raise ValidationError unless q is None or an even integer >= 4."""
+    if q is not None and (q % 2 or q < 4):
+        raise ValidationError(f"q={q} must be an even integer >= 4 (or None)")
+
+
 class DiagramSpace:
     """Tree graph plus the physical weights G(T) for a given q at J = 1."""
 
     def __init__(self, q=None, exact=None):
-        if q is not None and (q % 2 or q < 4):
-            raise ValidationError(f"q={q} must be an even integer >= 4 (or None)")
+        check_q(q)
         self.q = q
         if exact is None:
             exact = q is None
@@ -113,29 +118,19 @@ class DiagramSpace:
         dot = np.vdot if np.iscomplexobj(x) else np.dot
         return self._g_unit[n] * dot(x, g * y)
 
-    def state(self, terms):
-        """The state with coefficients {tree id: c}."""
-        t = self.trees
-        scale = self._one()
-        if self.exact:
-            scale = Fraction(1, math.lcm(*(Fraction(c).denominator for c in terms.values())))
-            terms = {i: int(c / scale) for i, c in terms.items()}
-        gens = {}
-        for i, c in terms.items():
-            n = t.generation_of(i)
-            if n not in gens:
-                gens[n] = np.zeros(t.count(n), dtype=object if self.exact else float)
-            gens[n][i - t.start[n]] = c
-        return DiagramState(self, {n: v for n, v in gens.items() if v.any()}, scale)
-
     def _one(self):
         return Fraction(1) if self.exact else 1.0
 
+    def _single_tree(self, n):
+        """The bare fermion (n = 0) or the single arc (n = 1), coefficient 1."""
+        return DiagramState(self, {n: np.ones(1, dtype=object if self.exact else float)},
+                            self._one())
+
     def vacuum_state(self):
-        return self.state({TreeSpace.VACUUM: self._one()})
+        return self._single_tree(0)
 
     def root_state(self):
-        return self.state({TreeSpace.ROOT: self._one()})
+        return self._single_tree(1)
 
 
 class DiagramState:
@@ -165,9 +160,6 @@ class DiagramState:
             out.update(zip((nz + self.space.trees.start[n]).tolist(),
                            [self.scale * c for c in v[nz].tolist()]))
         return out
-
-    def generations(self):
-        return sorted(self.gens)
 
     def _check_space(self, other):
         if not isinstance(other, DiagramState) or other.space is not self.space:
@@ -230,7 +222,7 @@ def l_plus_apply(state: DiagramState) -> DiagramState:
     """
     space = state.space
     t = space.trees
-    if space.q is None and len(state.generations()) > 1:
+    if space.q is None and len(state.gens) > 1:
         raise ValidationError("large-q diagram states must be generation-homogeneous")
     out = {}
     for n, x in state.gens.items():
@@ -299,6 +291,7 @@ def lanczos_large_n(q_mode, n_max):
     """
     exact = q_mode is None
     space = DiagramSpace(q=q_mode, exact=exact)
+    space.trees.successors(n_max - 1)   # built first, so the memory guard projects n_max
     if exact:
         coeffs, basis = lanczos(hamiltonian_apply, space.root_state(),
                                 max(n_max, 1) - 1, last_diagonal=False)

@@ -95,16 +95,11 @@ class OperatorVector:
 
     @classmethod
     def basis_string(cls, n, mask, amplitude=1.0):
-        return cls.from_terms(n, {mask: amplitude})
-
-    @classmethod
-    def from_terms(cls, n, terms):
-        """sum of amplitude * gamma_mask over {mask: amplitude}; bit i of mask selects gamma_i."""
-        for mask in terms:
-            if mask < 0 or mask >> n:
-                raise ValidationError(f"mask {mask:#x} does not fit in N={n} Majoranas")
-        strings = [tuple(i for i in range(n) if mask >> i & 1) for mask in terms]
-        return cls(n, _sum_of_strings(n, strings, list(terms.values())))
+        """amplitude * gamma_mask; bit i of mask selects gamma_i."""
+        if mask < 0 or mask >> n:
+            raise ValidationError(f"mask {mask:#x} does not fit in N={n} Majoranas")
+        string = tuple(i for i in range(n) if mask >> i & 1)
+        return cls(n, _sum_of_strings(n, [string], [amplitude]))
 
     # -- views --------------------------------------------------------
 
@@ -126,10 +121,6 @@ class OperatorVector:
         self._check_compatible(other)
         return OperatorVector(self.n, self.matrix + other.matrix)
 
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return OperatorVector(self.n, self.matrix - other.matrix)
-
     def __mul__(self, scalar):
         return OperatorVector(self.n, self.matrix * scalar)
 
@@ -145,9 +136,6 @@ class OperatorVector:
         """(self|other) = Tr[self^dag other]/D."""
         self._check_compatible(other)
         return complex(np.vdot(self.matrix, other.matrix)) / self.matrix.shape[0]
-
-    def norm(self):
-        return float(np.linalg.norm(self.matrix)) / math.sqrt(self.matrix.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,6 @@ integers, so they follow from earlier steps without any |Aut|.
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -125,17 +124,14 @@ class TreeSpace:
     """Tree ids with their |Aut|, slot products and per-generation edges.
 
     ``q`` bounds children per vertex at q-1; ``q=None`` means no bound (the
-    large-q engine).  The next generation is built only once it is asked
-    for, and not when its projected size times TREE_BYTES exceeds the
-    memory the operating system reports available: that raises
-    ResourceLimitError.  ``aut`` and ``slot`` are arrays of Python ints by
-    tree id, replaced by longer ones as generations are added: a star's
-    |Aut| is (n-1)! and its slot product at q = 64 is already 63!/51! at
-    13 arcs, past int64.
+    large-q engine).  A generation is built only once it, or a later one,
+    is asked for, and not while the asked-for generation's projected size
+    times TREE_BYTES exceeds the memory the operating system reports
+    available: that raises ResourceLimitError.  ``aut`` and ``slot`` are
+    arrays of Python ints by tree id, replaced by longer ones as
+    generations are added: a star's |Aut| is (n-1)! and its slot product
+    at q = 64 is already 63!/51! at 13 arcs, past int64.
     """
-
-    VACUUM = VACUUM
-    ROOT = ROOT
 
     def __init__(self, q=None):
         self.cap = None if q is None else q - 1
@@ -154,39 +150,32 @@ class TreeSpace:
         return self.start[-1]
 
     def ids(self, n):
-        """The contiguous ids of generation n (building it if needed)."""
+        """The contiguous ids of generation n, building the generations up to
+        it; each is refused while generation n's projected size does not fit."""
         while len(self.start) <= n + 1:
+            require_memory(self.generation_bytes(n), f"generation {n}",
+                           f"{TREE_BYTES} bytes per projected tree")
             self._grow()
         return range(self.start[n], self.start[n + 1])
 
     def count(self, n):
         return len(self.ids(n))
 
-    def generation_of(self, i):
-        return bisect(self.start, i) - 1
-
-    def kids(self, i):
-        """The sorted child ids of tree i >= 1, as a tuple."""
-        n = self.generation_of(i)
-        row = self._gens[n][i - self.start[n]]
-        return tuple(row[row != VACUUM].tolist())
-
     def successors(self, n):
         """The attach step from generation n to n + 1."""
-        while len(self.steps) <= n:
-            self._grow()
+        self.ids(n + 1)
         return self.steps[n]
 
     def predecessors(self, n):
         """The attach step into generation n, read backwards for removals."""
         return self.successors(n - 1)
 
-    def next_generation_bytes(self):
-        """TREE_BYTES times the next generation's size, projected from the
-        growth ratio of the last step."""
-        n = len(self.start) - 2
-        size, prev = self.count(n), self.count(n - 1)
-        return TREE_BYTES * (size * size // prev)
+    def generation_bytes(self, n):
+        """TREE_BYTES times generation n's size, projected from the newest
+        generation m < n and its last growth ratio r as count(m) r^(n - m)."""
+        m = len(self.start) - 2
+        size, prev = self.count(m), self.count(m - 1)
+        return TREE_BYTES * (size ** (n - m + 1) // prev ** (n - m))
 
     def _edges(self, n):
         """Every edge of steps 0 .. n-1 as CSR arrays by global T id:
@@ -204,8 +193,6 @@ class TreeSpace:
         """Build the generation after the newest one."""
         n = len(self.start) - 2
         lo, hi = self.start[n], self.start[n + 1]
-        require_memory(self.next_generation_bytes(), f"generation {n + 1}",
-                       f"{TREE_BYTES} bytes per projected tree")
         kids = self._gens[n]
         if self.cap is None or kids.shape[1] < self.cap:
             kids = np.pad(kids, ((0, 0), (1, 0)))   # one more free root slot
@@ -224,7 +211,8 @@ class TreeSpace:
         # slot(S)/slot(T) at the root: the free slots q - 1 - len(kids)
         k_down = np.where(root, 1 if self.cap is None else k + self.cap - width, k)
         sites = np.count_nonzero(row == 0)
-        expected = [(c_, k_) for _, c_, k_ in attachments(self.kids(lo), self.cap)]
+        first = tuple(kids[0][kids[0] != VACUUM].tolist())
+        expected = [(c_, k_) for _, c_, k_ in attachments(first, self.cap)]
         if list(zip(c[:sites].tolist(), k_attach[:sites].tolist())) != expected:
             raise NumericalContractError(f"generation {n}: array growth sites "
                                          f"disagree with attachments for tree {lo}")

@@ -1,13 +1,22 @@
-"""Shared pytest configuration: acceptance summary lines.
+"""Shared pytest configuration: acceptance summary lines, and a fixed
+available memory for the memory guards.
 
 Each acceptance test registers a one-line verdict; the terminal summary
 prints them all so a single run shows the full pass/fail table.
 """
 
+import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
+
+
+def sysconf_with_4_gib_available(name, sysconf=os.sysconf):
+    """os.sysconf, except that 4 GiB of physical memory reads as available."""
+    return 4 * 2 ** 30 // _PAGE_SIZE if name == "SC_AVPHYS_PAGES" else sysconf(name)
 
 _ACCEPTANCE_LINES = {}
 

@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: dense matrices, brute-force
 enumeration, textbook Gram-Schmidt.  None of it imports the modules under
-test except for plain data containers.  The last section holds the
+test except for plain data containers, and the vector types it builds
+test inputs in: operators and diagram states with many terms, and numpy
+vectors the Krylov driver can run on.  The last section holds the
 analytic and algebraic helpers that only tests call: the inverse moment
 transforms, the continuum crossover forms and small operator utilities.
 """
 
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +23,9 @@ import sympy as sp
 
 from dsyk.errors import FitError, ValidationError
 from dsyk.krylov import TridiagonalCoeffs
+from dsyk.largen import DiagramState
 from dsyk.majorana import OperatorVector
+from dsyk.trees import VACUUM
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,11 +249,23 @@ def enumerate_trees(n: int, max_children=None):
     return sorted(out)
 
 
+def generation_of(space, i):
+    """The generation (arc count) of tree id i of a dsyk TreeSpace."""
+    return bisect(space.start, i) - 1
+
+
+def tree_kids(space, i):
+    """The sorted child ids of tree id i >= 1 of a dsyk TreeSpace, as a tuple."""
+    n = generation_of(space, i)
+    row = space._gens[n][i - space.start[n]]
+    return tuple(row[row != VACUUM].tolist())
+
+
 def nested_tree(space, i):
     """The nested-tuple encoding of tree id i of a dsyk TreeSpace (None: no arcs)."""
     if i == 0:
         return None
-    return canonical(nested_tree(space, c) for c in space.kids(i))
+    return canonical(nested_tree(space, c) for c in tree_kids(space, i))
 
 
 def tuple_growth_order(space, n):
@@ -268,7 +285,7 @@ def tuple_growth_order(space, n):
             succ.setdefault(space.start[g] + t, []).append(space.start[g + 1] + s)
     new, grown = {}, []
     for t in space.ids(n):
-        kids = space.kids(t)
+        kids = tree_kids(space, t)
         sites = [0] if space.cap is None or len(kids) < space.cap else []
         out = []
         for c in sites + sorted(set(kids)):
@@ -279,6 +296,50 @@ def tuple_growth_order(space, n):
         new.update(dict.fromkeys(out))
         grown.append(out)
     return list(new), grown
+
+
+def diagram_state(space, terms):
+    """The DiagramState of a dsyk DiagramSpace with coefficients {tree id: c}.
+
+    An exact space holds integer arrays over one scale, 1 over the lcm of
+    the coefficients' denominators; a float space float arrays over 1.0.
+    """
+    t = space.trees
+    scale = 1.0
+    if space.exact:
+        scale = Fraction(1, math.lcm(*(Fraction(c).denominator for c in terms.values())))
+        terms = {i: int(c / scale) for i, c in terms.items()}
+    gens = {}
+    for i, c in terms.items():
+        n = generation_of(t, i)
+        if n not in gens:
+            gens[n] = np.zeros(t.count(n), dtype=object if space.exact else float)
+        gens[n][i - t.start[n]] = c
+    return DiagramState(space, {n: v for n, v in gens.items() if v.any()}, scale)
+
+
+class ArrayVector:
+    """A numpy vector (object arrays of Fractions too) with the inner and
+    iaxpy methods the Krylov driver calls."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def inner(self, other):
+        return np.vdot(self.a, other.a)
+
+    def iaxpy(self, c, other):
+        self.a = self.a + c * other.a
+
+    def __mul__(self, scalar):
+        return ArrayVector(self.a * scalar)
+
+
+def array_map(mat):
+    """v -> mat v on ArrayVectors."""
+    return lambda v: ArrayVector(mat.dot(v.a))
 
 
 def gram_schmidt_hessenberg(mat, v0, n_max):
@@ -460,6 +521,11 @@ class StringOperator:
 
     __rmul__ = __mul__
 
+    def iaxpy(self, c, other):
+        """self += c * other, the update the Krylov driver calls."""
+        out = self + c * other
+        self.masks, self.vals, self.prune = out.masks, out.vals, out.prune
+
     def inner(self, other):
         """(self|other) = sum over common strings of conj(a) * b."""
         _, i1, i2 = np.intersect1d(self.masks, other.masks,
@@ -558,13 +624,32 @@ def j_script_sq(h):
     return 2.0 ** (1 - h.q) * h.q * h.j ** 2
 
 
+def operator_from_terms(n, terms):
+    """sum of amplitude * gamma_mask over {mask: amplitude}, as an OperatorVector
+    (N and every mask validated like basis_string's)."""
+    out = OperatorVector.basis_string(n, 0, 0.0)
+    for mask, c in terms.items():
+        out.iaxpy(c, OperatorVector.basis_string(n, mask))
+    return out
+
+
 def zero_operator(n):
     """The zero operator on N Majoranas (N validated like any constructor)."""
-    return OperatorVector.from_terms(n, {})
+    return operator_from_terms(n, {})
+
+
+def operator_norm(o):
+    """sqrt((o|o)), from the matrix: Frobenius norm over sqrt(D)."""
+    return float(np.linalg.norm(o.matrix)) / math.sqrt(o.matrix.shape[0])
+
+
+def distance(a, b):
+    """||a - b|| for OperatorVectors, which have no subtraction of their own."""
+    return operator_norm(a + (-1) * b)
 
 
 def normalized(o):
-    nrm = o.norm()
+    nrm = operator_norm(o)
     if nrm == 0.0:
         raise ValidationError("cannot normalize the zero operator")
     return o * (1.0 / nrm)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sysconf_with_4_gib_available
 from dsyk import cli, trees
 from dsyk.cli import build_parser, finite_n_bytes, main
 
@@ -22,6 +23,23 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return manifest, header, rows
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def assert_strict_outputs(out_dir):
+    """Every CSV's manifest is strict JSON and every float cell is finite."""
+    for path in Path(out_dir).glob("*.csv"):
+        lines = path.read_text().splitlines()
+        json.loads(lines[0][2:], parse_constant=_reject_constant)
+        for cell in (c for line in lines[2:] for c in line.split(",")):
+            try:
+                value = float(cell)
+            except ValueError:   # a list of exact coefficients, such as "2;0;1/2"
+                continue
+            assert math.isfinite(value), (path.name, cell)
 
 
 def test_moments_outputs_and_reproducibility(tmp_path):
@@ -177,11 +195,6 @@ _FLAG_VALUES = {
                "--tmax": ["-1", "0", "0.5", *_NON_FINITE], "--points": ["-1", "0", "1", "3"],
                "--dt-tol": ["-1", "0", "1e-6", *_NON_FINITE]},
 }
-_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
-
-
-def _sysconf_with_4_gib_available(name, sysconf=os.sysconf):
-    return 4 * 2 ** 30 // _PAGE_SIZE if name == "SC_AVPHYS_PAGES" else sysconf(name)
 
 
 @st.composite
@@ -203,12 +216,33 @@ def test_every_command_line_exits_with_a_documented_code(argv):
     # such as evolve --u 0 at the default --tmax (70.7 million sites) exits 3
     # whatever the host has free
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sysconf", _sysconf_with_4_gib_available)
+        mp.setattr(os, "sysconf", sysconf_with_4_gib_available)
         try:
             code = main(["--out", out] + argv)
         except SystemExit as e:   # argparse rejects the command line with code 2
             code = e.code
+        if code == 0:
+            assert_strict_outputs(out)
     assert code in (0, 2, 3, 4)
+
+
+def test_meixner_without_dissipation_writes_strict_json(tmp_path):
+    # at u = 0 K and the variance grow without bound: the saturation values
+    # are null, not the Infinity that strict JSON parsers reject
+    assert main(["--out", str(tmp_path), "meixner", "--u", "0", "--tmax", "2",
+                 "--points", "3"]) == 0
+    assert_strict_outputs(tmp_path)
+    manifest, _, _ = read_csv(tmp_path / "meixner_u0.0.csv")
+    assert manifest["k_saturation"] is None and manifest["variance_saturation"] is None
+
+
+@pytest.mark.parametrize("q", ["-6", "0", "2", "5"])
+def test_q_inf_holds_q_to_the_diagram_rule(tmp_path, q):
+    # --q labels a --q-inf run's sizes (q - 2) n + 1, so it must be a q the
+    # finite engine takes: -6 would label them -7, -15, ...
+    assert main(["--out", str(tmp_path), "large-n", "--q-inf", "--q", q,
+                 "--nmax", "3"]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_validation_exit_code(tmp_path):

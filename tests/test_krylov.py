@@ -1,4 +1,8 @@
-"""The Krylov driver's two modes on dense matrices vs a textbook oracle."""
+"""The Krylov driver's two modes on dense matrices vs a textbook oracle.
+
+The driver calls its vectors' own inner and iaxpy, so numpy vectors enter
+it wrapped as oracles.ArrayVector.
+"""
 
 from fractions import Fraction
 
@@ -15,7 +19,7 @@ from dsyk.krylov import (
     hessenberg_error,
     lanczos,
 )
-from oracles import gram_schmidt_hessenberg
+from oracles import ArrayVector, array_map, gram_schmidt_hessenberg
 
 
 def random_hermitian(n, seed):
@@ -35,7 +39,7 @@ def test_arnoldi_matches_dense_oracle(seed):
     n = 12
     mat = random_hermitian(n, seed) + 1j * np.diag(np.arange(n) * 0.1)
     v0 = random_start(n, seed)
-    hm, basis = arnoldi(lambda v: mat @ v, v0, 8)
+    hm, basis = arnoldi(array_map(mat), ArrayVector(v0), 8)
     h_ref, _ = gram_schmidt_hessenberg(mat, v0, 8)
     assert hm.basis_dim == 9
     assert np.allclose(hm.h, h_ref, atol=1e-10)
@@ -44,8 +48,8 @@ def test_arnoldi_matches_dense_oracle(seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_arnoldi_basis_orthonormal(seed):
     mat = random_hermitian(10, seed)
-    _, basis = arnoldi(lambda v: mat @ v, random_start(10, seed), 9)
-    basis = [v / np.linalg.norm(v) for v in basis]
+    _, basis = arnoldi(array_map(mat), ArrayVector(random_start(10, seed)), 9)
+    basis = [v.a / np.linalg.norm(v.a) for v in basis]
     g = np.array([[np.vdot(u, v) for v in basis] for u in basis])
     assert np.max(np.abs(g - np.eye(len(basis)))) < 1e-12
 
@@ -59,8 +63,8 @@ def test_arnoldi_start_norm_does_not_matter():
     mat = mat + mat.T + np.triu(rng.normal(size=(10, 10)), 1)
     assert np.linalg.norm(mat @ mat.conj().T - mat.conj().T @ mat) > 1.0
     v0 = random_start(10, 11)
-    hm1, _ = arnoldi(lambda v: mat @ v, v0, 8)
-    hm3, _ = arnoldi(lambda v: mat @ v, 3.0 * v0, 8)
+    hm1, _ = arnoldi(array_map(mat), ArrayVector(v0), 8)
+    hm3, _ = arnoldi(array_map(mat), ArrayVector(3.0 * v0), 8)
     assert hm1.basis_dim == hm3.basis_dim == 9
     assert np.max(np.abs(hm1.h - hm3.h)) < 1e-12
 
@@ -69,7 +73,7 @@ def test_arnoldi_reports_breakdown_via_basis_dim():
     # rank-deficient Krylov space: start vector in a 2d invariant subspace
     mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     v0 = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
-    hm, basis = arnoldi(lambda v: mat @ v, v0, 4)
+    hm, basis = arnoldi(array_map(mat), ArrayVector(v0), 4)
     assert hm.basis_dim == 2
     assert len(basis) == 2
 
@@ -77,8 +81,8 @@ def test_arnoldi_reports_breakdown_via_basis_dim():
 def test_lanczos_matches_arnoldi_on_hermitian():
     mat = random_hermitian(14, 7)
     v0 = random_start(14, 7)
-    hm, _ = arnoldi(lambda v: mat @ v, v0, 10)
-    c, _ = lanczos(lambda v: mat @ v, v0, 10)
+    hm, _ = arnoldi(array_map(mat), ArrayVector(v0), 10)
+    c, _ = lanczos(array_map(mat), ArrayVector(v0), 10)
     d = hm.basis_dim
     assert np.allclose(np.real(np.diagonal(hm.h)[:d]), c.a_array().real, atol=1e-9)
     assert np.allclose(np.diagonal(hm.h, -1)[:d - 1].real, c.b_array().real, atol=1e-9)
@@ -88,7 +92,7 @@ def test_lanczos_rejects_non_hermitian():
     rng = np.random.default_rng(9)
     mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     with pytest.raises(NumericalContractError):
-        lanczos(lambda v: mat @ v, random_start(8, 9), 6)
+        lanczos(array_map(mat), ArrayVector(random_start(8, 9)), 6)
 
 
 def test_lanczos_stops_at_breakdown():
@@ -96,7 +100,7 @@ def test_lanczos_stops_at_breakdown():
     # recurrence allows
     mat = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     v0 = np.array([3.0, 3.0, 0.0, 0.0], dtype=complex)
-    c, basis = lanczos(lambda v: mat @ v, v0, 4)
+    c, basis = lanczos(array_map(mat), ArrayVector(v0), 4)
     assert len(basis) == len(c.a) == 2
     assert np.allclose(c.a, [1.5, 1.5]) and np.allclose(c.b_sq, [0.25])
 
@@ -104,8 +108,8 @@ def test_lanczos_stops_at_breakdown():
 def test_lanczos_last_diagonal_flag():
     mat = random_hermitian(10, 13)
     v0 = random_start(10, 13)
-    c_full, _ = lanczos(lambda v: mat @ v, v0, 5)
-    c_skip, _ = lanczos(lambda v: mat @ v, v0, 5, last_diagonal=False)
+    c_full, _ = lanczos(array_map(mat), ArrayVector(v0), 5)
+    c_skip, _ = lanczos(array_map(mat), ArrayVector(v0), 5, last_diagonal=False)
     assert c_skip.a[-1] == 0.0
     assert np.allclose(c_full.b, c_skip.b)
     assert np.allclose(c_full.a[:-1], c_skip.a[:-1])
@@ -118,10 +122,10 @@ def test_lanczos_exact_over_fractions():
     mat = np.array([[Fraction(i + j, 1 + abs(i - j)) for j in range(5)]
                     for i in range(5)], dtype=object)
     v0 = np.array([Fraction(c) for c in (1, 0, 2, -1, 0)], dtype=object)
-    exact, basis = lanczos(lambda v: mat.dot(v), v0, 4)
+    exact, basis = lanczos(array_map(mat), ArrayVector(v0), 4)
     assert all(isinstance(x, Fraction) for x in exact.a + exact.b_sq)
-    assert all(np.vdot(u, v) == 0 for i, u in enumerate(basis) for v in basis[:i])
-    approx, _ = lanczos(lambda v: mat.astype(float) @ v, 3.0 * v0.astype(float), 4)
+    assert all(np.vdot(u.a, v.a) == 0 for i, u in enumerate(basis) for v in basis[:i])
+    approx, _ = lanczos(array_map(mat.astype(float)), ArrayVector(3.0 * v0.astype(float)), 4)
     assert np.allclose([float(x) for x in approx.a], [float(x) for x in exact.a],
                        rtol=1e-12)
     assert np.allclose([float(x) for x in approx.b_sq],
@@ -177,7 +181,7 @@ def test_diagonal_slope_fit_window_too_small():
 def test_lanczos_reproduces_eigenvalue_extremes(seed):
     # 3-step Lanczos Ritz values bracket within the true spectrum
     mat = random_hermitian(9, seed)
-    c, _ = lanczos(lambda v: mat @ v, random_start(9, seed), 3)
+    c, _ = lanczos(array_map(mat), ArrayVector(random_start(9, seed)), 3)
     tri = np.diag([x.real for x in map(complex, c.a)]).astype(float)
     for i, bv in enumerate(c.b):
         tri[i, i + 1] = tri[i + 1, i] = bv

@@ -1,13 +1,15 @@
 """Nested-tuple tree combinatorics, and the integer-id TreeSpace against them."""
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sysconf_with_4_gib_available
 from dsyk.errors import ResourceLimitError
-from dsyk.trees import TREE_BYTES, TreeSpace
+from dsyk.trees import ROOT, TREE_BYTES, TreeSpace
 from oracles import (
     attach_counts,
     attachments,
@@ -15,11 +17,13 @@ from oracles import (
     brute_linear_extensions,
     canonical,
     enumerate_trees,
+    generation_of,
     leaf_removals,
     linear_extensions,
     n_vertices,
     nested_tree,
     slot_factor_product,
+    tree_kids,
     tuple_growth_order,
 )
 
@@ -155,7 +159,7 @@ def test_treespace_interning_and_adjacency():
     assert [a.tolist() for a in step] == [[0], [0], [1], [1]]
     # cap: no vertex may exceed q-1 = 3 children
     assert all(max_children(nested_tree(sp, i)) <= 3 for i in sp.ids(7))
-    assert sp.generation_of(sp.ids(7)[0]) == 7
+    assert generation_of(sp, sp.ids(7)[0]) == 7
 
 
 def test_tree_counts_uncapped_are_a000081():
@@ -200,11 +204,11 @@ def test_ids_follow_the_tuple_build_order(q):
     sp = TreeSpace(q=q)
     for n in range(1, 9):
         order, grown = tuple_growth_order(sp, n)
-        assert [sp.kids(i) for i in sp.ids(n + 1)] == order
+        assert [tree_kids(sp, i) for i in sp.ids(n + 1)] == order
         step = sp.successors(n)
         got = [[] for _ in sp.ids(n)]
         for t, s in zip(step.rows.tolist(), step.cols.tolist()):
-            got[t].append(sp.kids(sp.start[n + 1] + s))
+            got[t].append(tree_kids(sp, sp.start[n + 1] + s))
         assert got == grown
 
 
@@ -216,17 +220,30 @@ def test_treespace_resource_cap(monkeypatch):
 
 
 def test_next_generation_memory_estimate():
-    # TREE_BYTES per tree of the next generation, projected from the growth
+    # TREE_BYTES per tree of a later generation, projected from the growth
     # ratio of the last step; A000081(11) = 1842 against 719^2 // 286 = 1807
     sp = TreeSpace(q=None)
     sp.count(10)
-    assert sp.next_generation_bytes() == TREE_BYTES * (719 ** 2 // 286)
-    assert abs(sp.next_generation_bytes() / (TREE_BYTES * sp.count(11)) - 1) < 0.02
+    assert sp.generation_bytes(11) == TREE_BYTES * (719 ** 2 // 286)
+    assert sp.generation_bytes(13) == TREE_BYTES * (719 ** 4 // 286 ** 3)
+    assert abs(sp.generation_bytes(11) / (TREE_BYTES * sp.count(11)) - 1) < 0.02
+
+
+def test_memory_guard_refuses_early_from_the_asked_generation(monkeypatch):
+    # q = 4 to 21 arcs, with 4 GiB available: generation 21 projected from
+    # generation 9 (211 trees, ratio 211/89) already needs 4.65 GiB, so the
+    # graph stops there, not once the next generation alone is too large,
+    # which comes only after more than 1 GB of graph is built
+    monkeypatch.setattr(os, "sysconf", sysconf_with_4_gib_available)
+    sp = TreeSpace(q=4)
+    with pytest.raises(ResourceLimitError, match="generation 21"):
+        sp.ids(21)
+    assert len(sp.start) - 1 < 12   # generations built
 
 
 def star(sp, n):
     """Id of the n-arc star: a root whose n - 1 children are single arcs."""
-    return next(i for i in sp.ids(n) if sp.kids(i) == (TreeSpace.ROOT,) * (n - 1))
+    return next(i for i in sp.ids(n) if tree_kids(sp, i) == (ROOT,) * (n - 1))
 
 
 def test_star_slot_product_is_exact_past_int64():
