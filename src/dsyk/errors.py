@@ -24,9 +24,11 @@ def require_memory(need, what, detail):
     operating system reports available."""
     free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > free:
+        # the need rounded up and the memory rounded down, so that the
+        # printed need is always the larger
         raise ResourceLimitError(
-            f"{what} needs about {need / 2 ** 30:.1f} GiB ({detail}); "
-            f"{free / 2 ** 30:.1f} GiB is available")
+            f"{what} needs about {-(-need // 2 ** 20):,} MiB ({detail}); "
+            f"{free // 2 ** 20:,} MiB is available")
 
 
 class NumericalContractError(DsykError):

@@ -101,6 +101,8 @@ class DiagramSpace:
             slot, aut = t.slot[ids.start:ids.stop], t.aut[ids.start:ids.stop]
             wk = self.arc_weight ** k
             if self.exact:
+                # int64 while they fit (TreeSpace), Python ints from here on
+                slot, aut = slot.astype(object), aut.astype(object)
                 d = math.lcm(*aut)
                 g = slot * (d // aut)
                 self._g_unit.append(wk / d)

@@ -118,7 +118,7 @@ def dict_inner(space, x, y):
     """sum x_T G(T) y_T with G(T) = w^n slot(T)/|Aut T| taken one tree at a time."""
     t = space.trees
     return sum(x[i] * Fraction(space.arc_weight) ** generation_of(t, i)
-               * Fraction(t.slot[i], t.aut[i]) * y[i] for i in x if i in y)
+               * Fraction(int(t.slot[i]), int(t.aut[i])) * y[i] for i in x if i in y)
 
 
 def assert_integer_arrays(state):

@@ -2,14 +2,16 @@
 
 import math
 import os
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sysconf_with_4_gib_available
-from dsyk.errors import ResourceLimitError
-from dsyk.trees import ROOT, TREE_BYTES, TreeSpace
+from dsyk.errors import ResourceLimitError, require_memory
+from dsyk.trees import ROOT, TREE_BYTES, TreeSpace, checked_product, narrowest
 from oracles import (
     attach_counts,
     attachments,
@@ -230,15 +232,64 @@ def test_next_generation_memory_estimate():
 
 
 def test_memory_guard_refuses_early_from_the_asked_generation(monkeypatch):
-    # q = 4 to 21 arcs, with 4 GiB available: generation 21 projected from
-    # generation 9 (211 trees, ratio 211/89) already needs 4.65 GiB, so the
-    # graph stops there, not once the next generation alone is too large,
-    # which comes only after more than 1 GB of graph is built
+    # q = 4 to 21 arcs, with 4 GiB available: the graph stops at the first
+    # generation whose projection to n = 21 needs more (generation 9, 211
+    # trees, ratio 211/89: 4.03 GiB at 650 bytes a tree), not once the next
+    # generation alone is too large, which comes only after more than 1 GB
+    # of graph is built
+    sp = TreeSpace(q=4)
+
+    def projection(m):
+        sp.count(m)   # newest generation m
+        return sp.generation_bytes(21)
+
+    stop = next(m for m in range(1, 21) if projection(m) > 4 * 2 ** 30)
     monkeypatch.setattr(os, "sysconf", sysconf_with_4_gib_available)
     sp = TreeSpace(q=4)
     with pytest.raises(ResourceLimitError, match="generation 21"):
         sp.ids(21)
     assert len(sp.start) - 1 < 12   # generations built
+    assert len(sp.start) - 2 == stop   # the newest generation built
+
+
+def test_memory_guard_prints_a_need_above_the_available(monkeypatch):
+    # a need one byte above 6.5 GiB: rounded to 0.1 GiB, need and available
+    # memory both read 6.5; the need is rounded up and the memory down
+    page = os.sysconf("SC_PAGE_SIZE")
+    pages = 13 * 2 ** 29 // page
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: pages if name == "SC_AVPHYS_PAGES" else page)
+    with pytest.raises(ResourceLimitError) as refused:
+        require_memory(pages * page + 1, "a run", "one byte too many")
+    need, free = (float(x.replace(",", ""))
+                  for x in re.findall(r"([\d,.]+) [GM]iB", str(refused.value)))
+    assert need > free
+
+
+def test_q4_graph_is_stored_in_narrow_integers():
+    # through n = 15 every edge integer is one byte wide (at q = 4 they stay
+    # below 256 through n = 20), and |Aut| and the slot products are int64
+    sp = TreeSpace(q=4)
+    sp.successors(14)
+    for step in sp.steps:
+        assert step.mult.dtype.itemsize == step.down.dtype.itemsize == 1
+    assert sp._attach.dtype.itemsize == 1
+    assert sp.aut.dtype == sp.slot.dtype == np.int64
+
+
+@pytest.mark.parametrize("top, dtype", [(255, np.uint8), (256, np.uint16),
+                                        (2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+def test_narrowest_dtype_at_its_boundaries(top, dtype):
+    assert narrowest(top) == dtype
+
+
+def test_checked_product_leaves_int64_only_past_it():
+    below = checked_product(np.array([1, 2 ** 62 - 1]), np.array([2, 2], dtype=np.uint8))
+    assert below.dtype == np.int64 and below.tolist() == [2, 2 ** 63 - 2]
+    above = checked_product(np.array([1, 2 ** 62]), np.array([2, 2], dtype=np.uint8))
+    assert above.dtype == object and above.tolist() == [2, 2 ** 63]
+    # the check is on max(x) max(y), not on each product
+    assert checked_product(np.array([2 ** 62, 1]), np.array([1, 2])).dtype == object
 
 
 def star(sp, n):
@@ -251,6 +302,7 @@ def test_star_slot_product_is_exact_past_int64():
     # slot product 63!/51! ~ 2.8e21 overflows int64
     sp = TreeSpace(q=64)
     i = star(sp, 13)
+    assert sp.slot.dtype == object   # the Python-int fallback
     assert sp.slot[i] == math.perm(63, 12)
 
 
