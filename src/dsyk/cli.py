@@ -122,11 +122,14 @@ def finite_n_bytes(n, n_max):
     """Estimated peak memory of one finite-N Arnoldi run.
 
     The n_max + 1 basis operators, H and the temporaries of one step (the
-    commutator's two products and their difference, or the Arnoldi update)
-    are each a D x D complex matrix, D^2 = 2^N entries of 16 bytes; the
-    peak measured with tracemalloc at N = 14-18 was n_max + 6 of them.
+    commutator, the dissipator and their sum, with a buffer each, or the
+    Arnoldi update) are each one parity sector, 2^(N-1) complex entries of
+    16 bytes; the peak measured with tracemalloc at N = 14-18 was n_max + 5.3
+    to n_max + 7.8 of them.  Building H adds about 1 MiB of temporaries at
+    any N (a fixed number of strings x states per pass), which is the whole
+    peak at N <= 12.
     """
-    return (n_max + 6) * 16 * 2 ** n
+    return (n_max + 6) * 8 * 2 ** n + 2 ** 20
 
 
 def evolve_bytes(n_sites, points):
@@ -169,7 +172,8 @@ def cmd_finite_n_arnoldi(args):
     _require_counts(("--nmax", args.nmax))
     require_memory(finite_n_bytes(args.n, args.nmax),
                    f"N={args.n} with --nmax {args.nmax}",
-                   f"{args.nmax + 6} operators of 2^N complex entries")
+                   f"{args.nmax + 6} operators of 2^(N-1) complex entries, "
+                   "plus 1 MiB to build H")
     out_dir = _out_dir(args)
     for seed in args.seed or [1]:
         tag = _run_finite_n(args, seed, out_dir)

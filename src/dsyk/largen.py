@@ -307,19 +307,14 @@ def lanczos_large_n(q_mode, n_max):
     return coeffs, basis
 
 
-def size_distribution(state: DiagramState, q=None):
+def size_distribution(state: DiagramState, q):
     """Operator-size weights of a Krylov basis diagram state.
 
     Returns (P, mean, std) with P mapping s = (q-2) n_arcs + 1 to its
-    probability, normalized by the state's norm.  q defaults to the
-    space's q and must be supplied for large-q states (where it only
-    labels the sizes).
+    probability, normalized by the state's norm.  q is the space's q, or
+    for a large-q state the q that labels the sizes.
     """
     space = state.space
-    if q is None:
-        q = space.q
-    if q is None:
-        raise ValidationError("supply q to label sizes of a large-q state")
     by_size = {(q - 2) * n + 1: space.gen_dot(n, v, v).real
                for n, v in sorted(state.gens.items())}
     if not by_size:

@@ -1,8 +1,9 @@
 """Lindbladian superoperator for the dissipative SYK model.
 
 With jump operators L_k = sqrt(mu) psi_k the dissipator is diagonal on
-Majorana strings, scaling a size-s string by i*mu*s.  On Jordan-Wigner
-matrices it is applied in closed form, one pass per qubit; the literal
+Majorana strings, scaling a size-s string by i*mu*s.  On the parity-sector
+blocks of `dsyk.majorana` (states ordered by (p, r), p the parity of x and
+r = x >> 1) it is applied in closed form, one pass per qubit; the literal
 jump-operator sum, whose sign depends on the parity of the operator, is
 the test oracle.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .majorana import OperatorVector, SykHamiltonian, liouvillian_apply
+from .majorana import OperatorVector, SykHamiltonian, liouvillian_apply, parities
 
 
 def dissipator_apply(mu: float, o: OperatorVector) -> OperatorVector:
@@ -28,21 +29,42 @@ def dissipator_apply(mu: float, o: OperatorVector) -> OperatorVector:
     and the X and Y terms cancel unless x and y agree on qubit j:
     P (gamma_2j O gamma_2j + gamma_2j+1 O gamma_2j+1) P [x, y]
     = 2 [x_j = y_j] p_j(x) p_j(y) O[x ^ bit_j, y ^ bit_j], with p_j(x) the
-    parity of the qubits after j.  A negative mu raises ValidationError.
+    parity of the qubits after j.  Every flip changes the parity of both
+    states, so block p of a sector s reads block p ^ 1.  On a qubit j below
+    N/2 - 1 the flip is bit N/2 - 2 - j of r, and p_j(x) p_j(y) is (-1)^s
+    times the parity of the qubits before j in r and in r'.  The last qubit
+    is the low bit of x, which r drops: x and y agree on it when
+    parity(r) ^ parity(r') = s, and p_j = 1 there.
+
+    Allocates the result and one buffer of half a sector.  A negative mu
+    raises ValidationError.
     """
     if mu < 0:
         raise ValidationError(f"dissipation strength mu={mu} must be >= 0")
-    m = o.matrix
-    out = o.n * m
-    p = np.ones(1)   # p_j over the states of the qubits after j
-    for j in reversed(range(o.n // 2)):
-        shape = (1 << j, 2, p.size) * 2   # (qubits before j, qubit j, after j) per side
-        m6, out6 = m.reshape(shape), out.reshape(shape)
-        sign = 2.0 * np.outer(p, p)[:, None, :]
-        out6[:, 0, :, :, 0, :] -= sign * m6[:, 1, :, :, 1, :]
-        out6[:, 1, :, :, 1, :] -= sign * m6[:, 0, :, :, 0, :]
-        p = np.concatenate([p, -p])
-    out *= 0.5j * mu
+    half = 1 << (o.n // 2 - 1)
+    pr = 1.0 - 2.0 * parities(half)   # (-1)^parity(r); its prefixes serve the qubits before j
+    buf = np.empty(half * half, dtype=complex)
+    blk = buf.reshape(half, half)
+    out = {}
+    for s, m in o.sectors.items():
+        res = o.n * m
+        # the last qubit: 2 [parity(r) ^ parity(r') = s] = 1 + (-1)^s pr pr'
+        for p in (0, 1):
+            np.multiply(m[p ^ 1], (1 - 2 * s) * pr[:, None], out=blk)
+            blk *= pr
+            blk += m[p ^ 1]
+            res[p] -= blk
+        for j in reversed(range(o.n // 2 - 1)):
+            before, after = 1 << j, half >> (j + 1)
+            shape = (2,) + (before, 2, after) * 2   # (p, qubits before j, qubit j, after) x 2
+            m7, res7 = m[::-1].reshape(shape), res.reshape(shape)
+            tmp = buf[: 2 * (before * after) ** 2].reshape(2, before, after, before, after)
+            sign = (2.0 - 4.0 * s) * pr[:before, None, None, None] * pr[:before, None]
+            for bit in (0, 1):
+                np.multiply(m7[:, :, 1 - bit, :, :, 1 - bit, :], sign, out=tmp)
+                res7[:, :, bit, :, :, bit, :] -= tmp
+        res *= 0.5j * mu
+        out[s] = res
     return OperatorVector(o.n, out)
 
 

@@ -1,4 +1,4 @@
-"""Finite-N Majorana operators as Jordan-Wigner matrices.
+"""Finite-N Majorana operators as Jordan-Wigner matrices in parity sectors.
 
 N Majoranas (gamma = sqrt(2) psi, so gamma^2 = 1) act on D = 2^(N/2)
 states.  gamma_(2k) = Z..Z X and gamma_(2k+1) = Z..Z Y act on qubit k, the
@@ -7,11 +7,21 @@ and so each ascending product gamma_S of them (a Majorana string), is a
 signed permutation, gamma_S |x> = phase_S(x) |x ^ flip_S>, which is how
 operators are built here: without dense Kronecker products.
 
-Operators are D x D matrices under the normalized trace inner product
-(A|B) = Tr[A^dag B]/D, under which the 2^N strings are orthonormal, so
-norms and overlaps equal those of the string amplitudes.  The commutator
-with the SYK Hamiltonian, the hot path of the finite-N Arnoldi, is two
-matrix products.
+States are ordered by (p, r): p = popcount(x) mod 2 is the fermion parity
+of x and r = x >> 1, so the dropped low bit is p ^ parity(r).  A string of
+parity s (its length mod 2) maps states of parity p to parity p ^ s, so its
+matrix lives in parity sector s: a (2, D/2, D/2) array whose block p holds
+the rows of parity p and the columns of parity p ^ s.  An OperatorVector
+holds one such array per sector present.  The Krylov space of psi_0 is
+odd, so every Arnoldi vector holds one sector, half the entries of its
+D x D matrix; a mixed operator holds both.
+
+Operators carry the normalized trace inner product (A|B) = Tr[A^dag B]/D,
+under which the 2^N strings are orthonormal, so norms and overlaps equal
+those of the string amplitudes.  The SYK Hamiltonian is even, so it is
+block diagonal, and the commutator with it, the hot path of the finite-N
+Arnoldi, is H_p X_p - X_p H_(p^s) on block p of sector s: four (D/2)^3
+matrix products where the D x D matrices took two D^3.
 """
 
 from __future__ import annotations
@@ -38,58 +48,74 @@ def _dimension(n):
     return 1 << (n // 2)
 
 
+def parities(size):
+    """popcount(x) mod 2 for the integers x < size, a power of two."""
+    p = np.zeros(1, dtype=np.int64)
+    while p.size < size:
+        p = np.concatenate([p, 1 - p])   # x + 2^k has the other parity of x
+    return p
+
+
 def _gamma_tables(n):
-    """(flips, phases) with gamma_k |x> = phases[k, x] |x ^ flips[k]>."""
+    """(flips, masks, ys) with gamma_k |x> = i^ys[k] (-1)^parity(x & masks[k]) |x ^ flips[k]>.
+
+    gamma_k acts on qubit k // 2 (bit flips[k]); its Z string reads the
+    qubits before that one (the higher bits), and a Y (odd k) reads its own
+    qubit as well.
+    """
     d = _dimension(n)
-    x = np.arange(d)
-    flips = np.empty(n, dtype=np.int64)
-    phases = np.empty((n, d), dtype=complex)
-    z = np.ones(d)   # the Z string: (-1)^(occupation of the qubits before k)
-    for k in range(n // 2):
-        bit = n // 2 - 1 - k
-        sign = 1 - 2 * ((x >> bit) & 1)
-        flips[2 * k] = flips[2 * k + 1] = 1 << bit
-        phases[2 * k] = z                      # X
-        phases[2 * k + 1] = 1j * z * sign      # Y|0> = i|1>, Y|1> = -i|0>
-        z = z * sign
-    return flips, phases
+    k = np.arange(n)
+    bit = n // 2 - 1 - k // 2
+    ys = k & 1
+    flips = 1 << bit
+    masks = ((d - 1) ^ ((flips << 1) - 1)) | (ys * flips)
+    return flips, masks, ys
 
 
-def _sum_of_strings(n, strings, amps):
-    """D x D matrix of sum_t amps[t] gamma_(strings[t]), strings as ascending index tuples."""
-    flips, phases = _gamma_tables(n)
-    d = phases.shape[1]
+def _sector_of_strings(n, strings, amps):
+    """Sector blocks of sum_t amps[t] gamma_(strings[t]), strings as ascending
+    index tuples, all of one parity s: entry [p, r, c] is the matrix element
+    between the state (p, r) and the state (p ^ s, c)."""
+    flips, masks, ys = _gamma_tables(n)
+    d = _dimension(n)
+    half = d // 2
     x = np.arange(d)
+    px, cols = parities(d), x >> 1
     amps = np.asarray(amps, dtype=complex)
     by_length = {}
     for t, s in enumerate(strings):
         by_length.setdefault(len(s), []).append(t)
-    re = np.zeros(d * d)
-    im = np.zeros(d * d)
+    re = np.zeros(d * half)
+    im = np.zeros(d * half)
     block = max(1, _BLOCK_ENTRIES // d)
     for length, ts in by_length.items():
+        idx = np.array([strings[t] for t in ts], dtype=np.int64).reshape(len(ts), length)
+        # gamma_S |x> = i^e (-1)^parity(x & mask) |x ^ flip>: in an ascending
+        # product each factor acts after those of higher index, which flip
+        # only the qubits its mask does not read (or, for gamma_2j before
+        # gamma_2j+1, qubit j, which an X does not read)
+        flip = np.bitwise_xor.reduce(flips[idx], axis=1)
+        mask = np.bitwise_xor.reduce(masks[idx], axis=1)
+        coef = amps[ts] * np.array([1, 1j, -1, -1j])[ys[idx].sum(axis=1) & 3]
         for start in range(0, len(ts), block):
-            sel = ts[start:start + block]
-            idx = np.array([strings[t] for t in sel], dtype=np.int64).reshape(len(sel), length)
-            rows = np.broadcast_to(x, (len(sel), d))
-            vals = np.broadcast_to(amps[sel, None], (len(sel), d))
-            for k in idx.T[::-1]:   # the rightmost factor acts first
-                vals = vals * phases[k[:, None], rows]
-                rows = rows ^ flips[k][:, None]
-            flat = (rows * d + x).ravel()
-            re += np.bincount(flat, vals.real.ravel(), d * d)
-            im += np.bincount(flat, vals.imag.ravel(), d * d)
-    return (re + 1j * im).reshape(d, d)
+            sel = slice(start, start + block)
+            sign = 1.0 - 2.0 * px[x & mask[sel, None]]
+            rows = x ^ flip[sel, None]
+            # the string takes column x (parity px) to a row of parity px ^ s
+            flat = (((px ^ (length & 1)) * half + (rows >> 1)) * half + cols).ravel()
+            re += np.bincount(flat, (sign * coef.real[sel, None]).ravel(), d * half)
+            im += np.bincount(flat, (sign * coef.imag[sel, None]).ravel(), d * half)
+    return (re + 1j * im).reshape(2, half, half)
 
 
 class OperatorVector:
-    """Operator on N Majoranas, held as its D x D Jordan-Wigner matrix."""
+    """Operator on N Majoranas, held as {parity sector s: (2, D/2, D/2) blocks}."""
 
-    __slots__ = ("n", "matrix")
+    __slots__ = ("n", "sectors")
 
-    def __init__(self, n, matrix):
+    def __init__(self, n, sectors):
         self.n = int(n)
-        self.matrix = matrix
+        self.sectors = sectors
 
     # -- constructors -------------------------------------------------
 
@@ -99,14 +125,15 @@ class OperatorVector:
         if mask < 0 or mask >> n:
             raise ValidationError(f"mask {mask:#x} does not fit in N={n} Majoranas")
         string = tuple(i for i in range(n) if mask >> i & 1)
-        return cls(n, _sum_of_strings(n, [string], [amplitude]))
+        return cls(n, {len(string) & 1: _sector_of_strings(n, [string], [amplitude])})
 
     # -- views --------------------------------------------------------
 
     @property
     def n_terms(self):
-        """Nonzero matrix entries: at most 2^(N-1) for an operator of one fermion parity."""
-        return int(np.count_nonzero(self.matrix))
+        """Nonzero block entries over the sectors held: at most 2^(N-1) for an
+        operator of one fermion parity."""
+        return sum(int(np.count_nonzero(b)) for b in self.sectors.values())
 
     # -- algebra ------------------------------------------------------
 
@@ -119,23 +146,34 @@ class OperatorVector:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return OperatorVector(self.n, self.matrix + other.matrix)
+        out = {s: b + other.sectors[s] if s in other.sectors else b.copy()
+               for s, b in self.sectors.items()}
+        for s, b in other.sectors.items():
+            if s not in out:
+                out[s] = b.copy()
+        return OperatorVector(self.n, out)
 
     def __mul__(self, scalar):
-        return OperatorVector(self.n, self.matrix * scalar)
+        return OperatorVector(self.n, {s: b * scalar for s, b in self.sectors.items()})
 
     __rmul__ = __mul__
 
     def iaxpy(self, c, other):
         """self += c * other, in place: the Arnoldi update then reuses this
-        operator's matrix instead of allocating a new one."""
+        operator's blocks instead of allocating new ones."""
         self._check_compatible(other)
-        self.matrix += other.matrix * c
+        for s, b in other.sectors.items():
+            if s in self.sectors:
+                self.sectors[s] += b * c
+            else:
+                self.sectors[s] = b * c
 
     def inner(self, other):
-        """(self|other) = Tr[self^dag other]/D."""
+        """(self|other) = Tr[self^dag other]/D; different sectors are orthogonal."""
         self._check_compatible(other)
-        return complex(np.vdot(self.matrix, other.matrix)) / self.matrix.shape[0]
+        return sum((complex(np.vdot(b, other.sectors[s]))
+                    for s, b in self.sectors.items() if s in other.sectors),
+                   0j) / _dimension(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,11 +191,12 @@ class SykHamiltonian:
     couplings: dict = field(repr=False)
 
     @cached_property
-    def matrix(self):
-        """D x D matrix of H, built on first use and kept."""
+    def blocks(self):
+        """H's two diagonal blocks, the even sector (2, D/2, D/2), built on
+        first use and kept."""
         prefactor = (1j) ** (self.q // 2) * 2.0 ** (-self.q / 2)   # psi = gamma/sqrt(2)
         amps = prefactor * np.fromiter(self.couplings.values(), float, len(self.couplings))
-        return _sum_of_strings(self.n, list(self.couplings), amps)
+        return _sector_of_strings(self.n, list(self.couplings), amps)
 
 
 def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
@@ -177,9 +216,20 @@ def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
 
 
 def liouvillian_apply(h: SykHamiltonian, o: OperatorVector) -> OperatorVector:
-    """[H, O] = H O - O H."""
+    """[H, O] = H O - O H: H_p X_p - X_p H_(p^s) on block p of sector s.
+
+    Allocates the result and one block-sized buffer for the second product.
+    """
     if h.n != o.n:
         raise ValidationError(
             f"Hamiltonian N={h.n} incompatible with operator N={o.n}")
-    hm = h.matrix
-    return OperatorVector(o.n, hm @ o.matrix - o.matrix @ hm)
+    hb = h.blocks
+    buf = np.empty_like(hb[0])
+    out = {}
+    for s, x in o.sectors.items():
+        res = np.matmul(hb, x)   # H_p X_p for both blocks p
+        for p in (0, 1):
+            np.matmul(x[p], hb[p ^ s], out=buf)
+            res[p] -= buf
+        out[s] = res
+    return OperatorVector(o.n, out)

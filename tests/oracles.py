@@ -616,6 +616,83 @@ def string_terms(gammas, matrix, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# the dense Jordan-Wigner backend: every operator a D x D matrix in state
+# order x, the commutator two D x D products and the dissipator one pass per
+# qubit over the whole matrix.  The parity-sector backend of dsyk.majorana
+# holds the same matrices as (2, D/2, D/2) blocks per sector and is tested
+# against it.
+
+
+def _sector_index(n):
+    """(p, r) of every state x < D: its parity and x >> 1."""
+    x = np.arange(1 << (n // 2))
+    return popcount_array(x) & 1, x >> 1
+
+
+def dense_matrix(o):
+    """The D x D Jordan-Wigner matrix of an OperatorVector, in state order x.
+
+    Entry (x, y) with parity(x) ^ parity(y) = s is entry
+    [parity(x), x >> 1, y >> 1] of sector s's blocks."""
+    p, r = _sector_index(o.n)
+    d = p.size
+    out = np.zeros((d, d), dtype=complex)
+    for s, blocks in o.sectors.items():
+        in_sector = (p[:, None] ^ p[None, :]) == s
+        out += np.where(in_sector, blocks[p[:, None], r[:, None], r[None, :]], 0)
+    return out
+
+
+def operator_from_dense(n, matrix):
+    """The OperatorVector holding both parity sectors of a D x D matrix."""
+    p, _ = _sector_index(n)
+    states = [np.flatnonzero(p == a) for a in (0, 1)]   # ascending x is ascending r
+    return OperatorVector(n, {s: np.stack([matrix[np.ix_(states[a], states[a ^ s])]
+                                           for a in (0, 1)])
+                              for s in (0, 1)})
+
+
+def random_sector_operator(n, sectors, rng):
+    """OperatorVector with complex Gaussian blocks in the given parity sectors."""
+    h = 1 << (n // 2 - 1)
+    return OperatorVector(n, {s: rng.normal(size=(2, h, h)) + 1j * rng.normal(size=(2, h, h))
+                              for s in sectors})
+
+
+def dense_liouvillian_apply(hd, m):
+    """[H, O] = H O - O H on D x D matrices."""
+    return hd @ m - m @ hd
+
+
+def dense_dissipator_apply(mu, n, m):
+    """The dissipator in closed form on a D x D matrix, one pass per qubit.
+
+    P (gamma_2j O gamma_2j + gamma_2j+1 O gamma_2j+1) P [x, y]
+    = 2 [x_j = y_j] p_j(x) p_j(y) O[x ^ bit_j, y ^ bit_j], with p_j(x) the
+    parity of the qubits after j (see dsyk.lindblad.dissipator_apply).
+    """
+    out = n * m
+    p = np.ones(1)   # p_j over the states of the qubits after j
+    for j in reversed(range(n // 2)):
+        shape = (1 << j, 2, p.size) * 2   # (qubits before j, qubit j, after j) per side
+        m6, out6 = m.reshape(shape), out.reshape(shape)
+        sign = 2.0 * np.outer(p, p)[:, None, :]
+        out6[:, 0, :, :, 0, :] -= sign * m6[:, 1, :, :, 1, :]
+        out6[:, 1, :, :, 1, :] -= sign * m6[:, 0, :, :, 0, :]
+        p = np.concatenate([p, -p])
+    out *= 0.5j * mu
+    return out
+
+
+def dense_lindbladian_map(h, mu):
+    """v -> [H, v] + L_D v on ArrayVectors of D x D matrices, with H summed
+    from the dense Kronecker-product gammas."""
+    hd = dense_operator(dense_gammas(h.n), string_hamiltonian(h).terms)
+    return lambda v: ArrayVector(dense_liouvillian_apply(hd, v.a)
+                                 + dense_dissipator_apply(mu, h.n, v.a))
+
+
+# ---------------------------------------------------------------------------
 # helpers only tests call
 
 
@@ -638,9 +715,15 @@ def zero_operator(n):
     return operator_from_terms(n, {})
 
 
+def hamiltonian_operator(h):
+    """A sampled SYK Hamiltonian as the even OperatorVector of its blocks."""
+    return OperatorVector(h.n, {0: h.blocks})
+
+
 def operator_norm(o):
-    """sqrt((o|o)), from the matrix: Frobenius norm over sqrt(D)."""
-    return float(np.linalg.norm(o.matrix)) / math.sqrt(o.matrix.shape[0])
+    """sqrt((o|o)), from the dense matrix: Frobenius norm over sqrt(D)."""
+    m = dense_matrix(o)
+    return float(np.linalg.norm(m)) / math.sqrt(m.shape[0])
 
 
 def distance(a, b):
@@ -656,7 +739,7 @@ def normalized(o):
 
 
 def dagger(o):
-    return OperatorVector(o.n, o.matrix.conj().T)
+    return operator_from_dense(o.n, dense_matrix(o).conj().T)
 
 
 def horner(poly, u):

@@ -39,6 +39,7 @@ from oracles import (
     diagram_state,
     dissipator_oracle,
     distance,
+    hamiltonian_operator,
     has_parity_of,
     horner,
     jacobi_moments,
@@ -218,7 +219,7 @@ def test_criterion_10_size_concentration():
     ratios = {}
     ok = True
     for n in range(1, 18):
-        probs, mean, std = size_distribution(basis[n])
+        probs, mean, std = size_distribution(basis[n], 4)
         dominant = 2 * n + 1
         sub = sum(p for s, p in probs.items() if s != dominant)
         if n <= 4:
@@ -280,7 +281,7 @@ def test_criterion_12_property_suites():
         ok = ok and abc1 == abc2 and p1 * p2 == q1 * q2
     # Hermiticity of H and of the commutator map under the trace inner product
     h = sample_syk(8, 4, 1.0, seed=11)
-    ho = OperatorVector(h.n, h.matrix)
+    ho = hamiltonian_operator(h)
     ok = ok and distance(ho, dagger(ho)) < 1e-12
     for _ in range(10):
         x = operator_from_terms(

@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_finite_n_multiseed(tmp_path):
 
 
 def test_finite_n_cap_exit_code(tmp_path):
-    # 46 operators of 2^32 complex entries: about 3 TB, beyond any desk machine
+    # 46 operators of 2^31 complex entries: about 1.6 TB, beyond any desk machine
     assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "32"]) == 3
     assert not list(tmp_path.iterdir())
 
@@ -125,10 +126,23 @@ def test_evolve_runs_a_chain_that_peaks_late(tmp_path):
 
 
 def test_finite_n_memory_estimate():
-    # n_max + 1 basis matrices, H and temporaries, each 2^N complex entries
-    assert finite_n_bytes(14, 12) == 18 * 16 * 2 ** 14
-    assert finite_n_bytes(24, 40) == 46 * 16 * 2 ** 24   # about 12.3 GB
+    # n_max + 1 basis operators, H and temporaries, each one parity sector of
+    # 2^(N-1) complex entries, plus the 1 MiB that building H takes
+    assert finite_n_bytes(14, 12) == 18 * 8 * 2 ** 14 + 2 ** 20
+    assert finite_n_bytes(24, 40) == 46 * 8 * 2 ** 24 + 2 ** 20   # about 6.2 GB
     assert finite_n_bytes(32, 40) > 2 ** 40
+
+
+def test_finite_n_memory_estimate_covers_a_run(tmp_path):
+    # at N = 12 building H is the whole peak, which the 1 MiB term covers
+    tracemalloc.start()
+    try:
+        assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "12",
+                     "--mu", "0.02", "--nmax", "10"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= finite_n_bytes(12, 10)
 
 
 def test_finite_n_diagonal_fit_window(tmp_path):

@@ -241,17 +241,20 @@ def test_concentration_breaks_down_at_five(q):
 def test_size_distribution_normalization_contract():
     sp = DiagramSpace(q=4)
     raw = sp.root_state()  # norm 1/2, not normalized
-    probs, mean, std = size_distribution(raw)
+    probs, mean, std = size_distribution(raw, 4)
     assert probs == {3: 1.0}
     assert mean == 3.0 and std == 0.0
 
 
 def test_size_distribution_needs_q_label_for_large_q():
+    # the arc count is all a large-q state holds; q only labels the sizes
     sp = DiagramSpace(q=None)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):
         size_distribution(sp.root_state())
     probs, _, _ = size_distribution(sp.root_state(), q=4)
     assert probs == {3: 1.0}
+    probs, _, _ = size_distribution(sp.root_state(), q=6)
+    assert probs == {5: 1.0}
 
 
 def test_dissipative_apply_adds_diagonal():

@@ -1,8 +1,8 @@
-"""Jordan-Wigner matrix operators against dense and string-basis oracles.
+"""Parity-sector Jordan-Wigner operators against dense and string-basis oracles.
 
 The string algebra in oracles.py is itself checked against the dense
 Kronecker-product gammas first, then serves as the reference for the
-matrix backend.
+sector backend, as does the dense D x D backend of oracles.py.
 """
 
 import numpy as np
@@ -14,17 +14,23 @@ from dsyk.cli import arnoldi
 from dsyk.lindblad import lindbladian_apply
 from dsyk.majorana import OperatorVector, liouvillian_apply, sample_syk
 from oracles import (
+    ArrayVector,
     StringOperator,
     commute_phase,
     dagger,
     dense_gammas,
     dense_inner,
+    dense_lindbladian_map,
+    dense_liouvillian_apply,
+    dense_matrix,
     dense_operator,
     dense_string,
+    hamiltonian_operator,
     j_script_sq,
     normalized,
     operator_from_terms,
     popcount_array,
+    random_sector_operator,
     string_dagger_phase,
     string_hamiltonian,
     string_lindbladian_apply,
@@ -116,7 +122,7 @@ def test_parity_split():
 def test_strings_are_the_dense_jordan_wigner_strings(n):
     gammas = dense_gammas(n)
     for mask in range(1 << n):
-        assert np.array_equal(OperatorVector.basis_string(n, mask).matrix,
+        assert np.array_equal(dense_matrix(OperatorVector.basis_string(n, mask)),
                               dense_string(gammas, mask))
 
 
@@ -146,14 +152,14 @@ def test_inner_product_is_normalized_trace(a, b):
 @settings(max_examples=60, deadline=None)
 def test_addition_matches_dense(a, b):
     s = operator_from_terms(N_DENSE, a) + operator_from_terms(N_DENSE, b)
-    assert np.allclose(s.matrix, dense_operator(GAMMAS, a) + dense_operator(GAMMAS, b),
+    assert np.allclose(dense_matrix(s), dense_operator(GAMMAS, a) + dense_operator(GAMMAS, b),
                        atol=1e-12)
 
 
 @given(terms())
 @settings(max_examples=60, deadline=None)
 def test_dagger_matches_dense(a):
-    assert np.allclose(dagger(operator_from_terms(N_DENSE, a)).matrix,
+    assert np.allclose(dense_matrix(dagger(operator_from_terms(N_DENSE, a))),
                        dense_operator(GAMMAS, a).conj().T, atol=1e-12)
     assert np.allclose(dense_operator(GAMMAS, StringOperator.from_terms(N_DENSE, a)
                                       .dagger().terms),
@@ -177,13 +183,14 @@ def test_iaxpy_is_u_plus_c_v_in_place():
     u = operator_from_terms(6, {0b000011: 0.3 - 1.1j, 0b001111: 2.0})
     v = operator_from_terms(6, {0b000011: -0.7, 0b110000: 0.4 + 0.9j})
     c = -0.37 + 1.91j
-    want = (u + c * v).matrix
-    v_before = v.matrix.copy()
-    matrix = u.matrix
+    want = (u + c * v).sectors
+    v_before = v.sectors[0].copy()
+    blocks = u.sectors[0]
     u.iaxpy(c, v)
-    assert u.matrix is matrix
-    np.testing.assert_array_equal(u.matrix, want, strict=True)
-    np.testing.assert_array_equal(v.matrix, v_before, strict=True)
+    assert u.sectors.keys() == want.keys() == {0}
+    assert u.sectors[0] is blocks
+    np.testing.assert_array_equal(u.sectors[0], want[0], strict=True)
+    np.testing.assert_array_equal(v.sectors[0], v_before, strict=True)
     with pytest.raises(ValidationError):
         u.iaxpy(c, zero_operator(4))
 
@@ -219,8 +226,9 @@ def test_hamiltonian_is_hermitian_dense():
     for q in (2, 4, 6):
         h = sample_syk(N_DENSE, q, 1.0, seed=3)
         dense = dense_operator(GAMMAS, string_hamiltonian(h).terms)
-        assert np.allclose(h.matrix, dense, atol=1e-12)
-        assert np.allclose(h.matrix, h.matrix.conj().T, atol=1e-12)
+        hd = dense_matrix(hamiltonian_operator(h))
+        assert np.allclose(hd, dense, atol=1e-12)
+        assert np.allclose(hd, hd.conj().T, atol=1e-12)
 
 
 def test_j_script_sq():
@@ -236,7 +244,7 @@ def test_liouvillian_against_dense_commutator(seed):
     od = dense_operator(GAMMAS, t)
     expected = hd @ od - od @ hd
     res = liouvillian_apply(h, operator_from_terms(N_DENSE, t))
-    assert np.allclose(res.matrix, expected, atol=1e-12)
+    assert np.allclose(dense_matrix(res), expected, atol=1e-12)
     oracle = string_liouvillian_apply(h, StringOperator.from_terms(N_DENSE, t))
     assert np.allclose(dense_operator(GAMMAS, oracle.terms), expected, atol=1e-12)
 
@@ -255,11 +263,11 @@ def test_liouvillian_hermitian_wrt_inner():
 
 def test_first_commutator_support_size():
     # [H, gamma_1] at q = 4 is supported on size-3 strings only, and the
-    # matrix of an operator of one parity has at most 2^(N-1) nonzeros
+    # sector blocks of an operator of one parity have 2^(N-1) entries
     n = 10
     h = sample_syk(n, 4, 1.0, seed=1)
     res = liouvillian_apply(h, OperatorVector.basis_string(n, 1))
-    support = string_terms(dense_gammas(n), res.matrix)
+    support = string_terms(dense_gammas(n), dense_matrix(res))
     assert {m.bit_count() for m in support} == {3}
     assert all(not (m & 1) for m in support)  # gamma_1 itself consumed
     assert 0 < res.n_terms <= 2 ** (n - 1)
@@ -276,3 +284,34 @@ def test_arnoldi_matches_string_backend(n, mu):
                      StringOperator.basis_string(n, 1), 8)
     assert hm.basis_dim == ref.basis_dim
     assert np.max(np.abs(hm.h - ref.h)) < 1e-12
+
+
+# -- the parity sectors against the dense D x D backend ------------------
+
+SECTORS = pytest.mark.parametrize("sectors", [{1}, {0}, {0, 1}], ids=["odd", "even", "mixed"])
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@SECTORS
+def test_liouvillian_matches_dense_oracle(n, sectors):
+    h = sample_syk(n, 4, 1.0, seed=n)
+    o = random_sector_operator(n, sectors, np.random.default_rng(n))
+    res = liouvillian_apply(h, o)
+    assert res.sectors.keys() == o.sectors.keys()
+    hd = dense_operator(dense_gammas(n), string_hamiltonian(h).terms)
+    expected = dense_liouvillian_apply(hd, dense_matrix(o))
+    assert np.max(np.abs(dense_matrix(res) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("mu", [0.02, 0.0])
+def test_arnoldi_matches_dense_oracle(mu):
+    # the sector backend and the D x D matrices, H summed from Kronecker
+    # gammas, give one Hessenberg matrix up to rounding
+    n = 12
+    h = sample_syk(n, 4, 1.0, seed=6)
+    hm, _ = arnoldi(lambda v: lindbladian_apply(h, mu, v),
+                    OperatorVector.basis_string(n, 1), 12)
+    ref, _ = arnoldi(dense_lindbladian_map(h, mu),
+                     ArrayVector(dense_string(dense_gammas(n), 1)), 12)
+    assert hm.basis_dim == ref.basis_dim == 13
+    assert np.max(np.abs(hm.h - ref.h)) <= 1e-12 * np.max(np.abs(ref.h))
