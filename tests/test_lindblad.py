@@ -122,15 +122,16 @@ def _peak(f):
         tracemalloc.stop()
 
 
-def test_lindbladian_apply_peaks_at_three_sectors():
+def test_lindbladian_apply_peaks_below_three_and_a_half_sectors():
     # the commutator and the dissipator each allocate their result and one
     # buffer of at most half a sector, and their sum is the third sector;
     # numpy's ufunc buffers add the rest.  Measured at N = 12 on numpy 2.4:
-    # 1.53, 2.15 and 3.23 sectors
+    # 1.53, 2.15 and 3.23 sectors.  Only upper bounds: a smaller peak is no
+    # defect
     n = 12
     h = sample_syk(n, 4, 1.0, 1)
     o = lindbladian_apply(h, MU, OperatorVector.basis_string(n, 1))   # odd, H built
     sector = 16 * 2 ** (n - 1)
     assert _peak(lambda: liouvillian_apply(h, o)) < 1.75 * sector
     assert _peak(lambda: dissipator_apply(MU, o)) < 2.25 * sector
-    assert 3 * sector <= _peak(lambda: lindbladian_apply(h, MU, o)) < 3.5 * sector
+    assert _peak(lambda: lindbladian_apply(h, MU, o)) < 3.5 * sector

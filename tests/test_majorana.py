@@ -303,6 +303,21 @@ def test_liouvillian_matches_dense_oracle(n, sectors):
     assert np.max(np.abs(dense_matrix(res) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("n", [8, 14])
+@SECTORS
+def test_inner_is_the_dense_vdot_bit_for_bit(n, sectors):
+    # BLAS sums a vdot in an order set by each entry's position, and from
+    # 10,000 entries (N = 14) splits it over the threads; the finite-N
+    # goldens' manifests rest on inner rounding as the D x D vdot does.
+    # Operands of one sector set in turn share the kept buffers
+    rng = np.random.default_rng(n)
+    a, b = (random_sector_operator(n, sectors, rng) for _ in range(2))
+    c = random_sector_operator(n, {0, 1} - sectors or {1}, rng)
+    for x, y in [(a, b), (b, a), (a, a), (c, a), (a, c), (b, b)]:
+        want = complex(np.vdot(dense_matrix(x), dense_matrix(y))) / 2 ** (n // 2)
+        assert x.inner(y) == want
+
+
 @pytest.mark.parametrize("mu", [0.02, 0.0])
 def test_arnoldi_matches_dense_oracle(mu):
     # the sector backend and the D x D matrices, H summed from Kronecker
