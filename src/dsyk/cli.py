@@ -124,14 +124,12 @@ def finite_n_bytes(n, n_max):
     The n_max + 1 basis operators, H and the temporaries of one step (the
     commutator, the dissipator and their sum, with a buffer each, or the
     Arnoldi update) are each one parity sector, 2^(N-1) complex entries of
-    16 bytes.  The inner products keep two D x D buffers, four sectors, and
-    the positions of an odd sector's entries in them, half a sector.  Whole
-    runs peaked (tracemalloc, --mu 0.02, n_max 10 and 20) at n_max + 10.5,
-    + 9.8 and + 9.6 of them at N = 16, 18 and 20.  Building H adds about
-    1 MiB of temporaries at any N (a fixed number of strings x states per
-    pass), which is most of the peak at N = 12.
+    16 bytes.  Whole runs peaked (tracemalloc, --mu 0.02, n_max 10 and 20)
+    at n_max + 6.0, + 5.3 and + 5.1 of them at N = 16, 18 and 20.  Building
+    H adds about 1 MiB of temporaries at any N (a fixed number of strings x
+    states per pass), which is most of the peak at N = 12.
     """
-    return (n_max + 11) * 8 * 2 ** n + 2 ** 20
+    return (n_max + 6) * 8 * 2 ** n + 2 ** 20
 
 
 def evolve_bytes(n_sites, points):
@@ -174,7 +172,7 @@ def cmd_finite_n_arnoldi(args):
     _require_counts(("--nmax", args.nmax))
     require_memory(finite_n_bytes(args.n, args.nmax),
                    f"N={args.n} with --nmax {args.nmax}",
-                   f"{args.nmax + 11} parity sectors of 2^(N-1) complex entries, "
+                   f"{args.nmax + 6} parity sectors of 2^(N-1) complex entries, "
                    "plus 1 MiB to build H")
     out_dir = _out_dir(args)
     for seed in args.seed or [1]:

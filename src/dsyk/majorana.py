@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -108,24 +107,6 @@ def _sector_of_strings(n, strings, amps):
     return (re + 1j * im).reshape(2, half, half)
 
 
-@lru_cache(maxsize=None)
-def _dense_positions(n, s):
-    """The flat index in the D x D matrix (states in index order) of each
-    entry of sector s's (2, D/2, D/2) blocks."""
-    half = _dimension(n) // 2
-    r = np.arange(half)
-    x = [(r << 1) | (p ^ parities(half)) for p in (0, 1)]   # the state (p, r)
-    return np.stack([x[p][:, None] * (2 * half) + x[p ^ s] for p in (0, 1)])
-
-
-@lru_cache(maxsize=None)
-def _dense_buffer(n, sectors, slot):
-    """A flat D x D buffer that only ever holds the entries of the given
-    sectors, so that its other entries stay zero and a scatter into it
-    need not clear it first."""
-    return np.zeros(_dimension(n) ** 2, dtype=complex)
-
-
 class OperatorVector:
     """Operator on N Majoranas, held as {parity sector s: (2, D/2, D/2) blocks}."""
 
@@ -186,26 +167,13 @@ class OperatorVector:
             else:
                 self.sectors[s] = b * c
 
-    def _dense_flat(self, slot):
-        """The D x D matrix, states in index order, flattened, in the buffer
-        kept for this slot and sector set: the next call overwrites it."""
-        out = _dense_buffer(self.n, tuple(sorted(self.sectors)), slot)
-        for s, b in self.sectors.items():
-            out[_dense_positions(self.n, s)] = b
-        return out
-
     def inner(self, other):
-        """(self|other) = Tr[self^dag other]/D, as one vdot over the D x D
-        matrices.  BLAS sums a vdot in an order set by each entry's position
-        (and by its thread count), so a sum over the sectors alone would
-        move the Hessenberg entries, and the diagonal fits the finite-N
-        manifest carries, in their last digits.  Each operand is scattered
-        into a kept D x D buffer: O(D^2) work against the commutator's
-        O(D^3)."""
+        """(self|other) = Tr[self^dag other]/D: one vdot per sector both
+        operands hold, as strings of different parity are orthogonal."""
         self._check_compatible(other)
-        a = self._dense_flat(0)
-        b = a if other is self else other._dense_flat(1)
-        return complex(np.vdot(a, b)) / _dimension(self.n)
+        total = sum((complex(np.vdot(b, other.sectors[s]))
+                     for s, b in self.sectors.items() if s in other.sectors), 0j)
+        return total / _dimension(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +181,8 @@ class SykHamiltonian:
     """SYK Hamiltonian H = i^(q/2) sum J_I psi_I over q-subsets I.
 
     couplings maps ascending q-tuples of Majorana indices to real Gaussian
-    samples with variance (q-1)! J^2 / N^(q-1).
+    samples with variance (q-1)! J^2 / N^(q-1); blocks holds H's two
+    diagonal blocks, the even sector (2, D/2, D/2).
     """
 
     n: int
@@ -221,18 +190,12 @@ class SykHamiltonian:
     j: float
     seed: int
     couplings: dict = field(repr=False)
-
-    @cached_property
-    def blocks(self):
-        """H's two diagonal blocks, the even sector (2, D/2, D/2), built on
-        first use and kept."""
-        prefactor = (1j) ** (self.q // 2) * 2.0 ** (-self.q / 2)   # psi = gamma/sqrt(2)
-        amps = prefactor * np.fromiter(self.couplings.values(), float, len(self.couplings))
-        return _sector_of_strings(self.n, list(self.couplings), amps)
+    blocks: np.ndarray = field(repr=False)
 
 
 def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
-    """Draw a Gaussian SYK coupling realization (PCG64, deterministic in seed)."""
+    """Draw a Gaussian SYK coupling realization (PCG64, deterministic in seed)
+    and build H's blocks from it."""
     if n % 2 or q % 2 or n <= 0 or q <= 0:
         raise ValidationError(f"N and q must be even positive integers, got N={n}, q={q}")
     if q > n:
@@ -243,8 +206,10 @@ def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
     rng = default_rng(seed)
     subsets = list(combinations(range(n), q))
     samples = rng.normal(0.0, sigma, size=len(subsets))
+    prefactor = (1j) ** (q // 2) * 2.0 ** (-q / 2)   # psi = gamma/sqrt(2)
     return SykHamiltonian(n=n, q=q, j=j, seed=seed,
-                          couplings=dict(zip(subsets, samples)))
+                          couplings=dict(zip(subsets, samples)),
+                          blocks=_sector_of_strings(n, subsets, prefactor * samples))
 
 
 def liouvillian_apply(h: SykHamiltonian, o: OperatorVector) -> OperatorVector:

@@ -102,7 +102,7 @@ def test_finite_n_multiseed(tmp_path):
 
 
 def test_finite_n_cap_exit_code(tmp_path):
-    # 51 parity sectors of 2^31 complex entries: about 1.8 TB, beyond any desk machine
+    # 46 parity sectors of 2^31 complex entries: about 1.6 TB, beyond any desk machine
     assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "32"]) == 3
     assert not list(tmp_path.iterdir())
 
@@ -127,16 +127,15 @@ def test_evolve_runs_a_chain_that_peaks_late(tmp_path):
 
 
 def test_finite_n_memory_estimate():
-    # n_max + 1 basis operators, H, temporaries and the inner products' two
-    # D x D buffers, in parity sectors of 2^(N-1) complex entries, plus the
-    # 1 MiB that building H takes
-    assert finite_n_bytes(14, 12) == 23 * 8 * 2 ** 14 + 2 ** 20
-    assert finite_n_bytes(24, 40) == 51 * 8 * 2 ** 24 + 2 ** 20   # about 6.8 GB
+    # n_max + 1 basis operators, H and the temporaries of one step, in parity
+    # sectors of 2^(N-1) complex entries, plus the 1 MiB that building H takes
+    assert finite_n_bytes(14, 12) == 18 * 8 * 2 ** 14 + 2 ** 20
+    assert finite_n_bytes(24, 40) == 46 * 8 * 2 ** 24 + 2 ** 20   # about 6.2 GB
     assert finite_n_bytes(32, 40) > 2 ** 40
 
 
-# one finite-N run in a fresh interpreter, so that buffers an earlier test
-# kept are counted; prints the tracemalloc peak
+# one finite-N run in a fresh interpreter, so that nothing an earlier test
+# allocated and kept is left out; prints the tracemalloc peak
 PEAK_CHILD = """
 import sys, tracemalloc
 from dsyk.cli import main
@@ -149,7 +148,7 @@ print(tracemalloc.get_traced_memory()[1])
 @pytest.mark.parametrize("n", [12, 14])
 def test_finite_n_memory_estimate_covers_a_run(tmp_path, n):
     # at N = 12 building H is most of the peak, which the 1 MiB term covers;
-    # at N = 14 the sectors are most of it (2.91 MB measured against 3.80 MB
+    # at N = 14 the sectors are most of it (2.32 MB measured against 3.15 MB
     # estimated)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(

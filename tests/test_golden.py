@@ -21,7 +21,9 @@ non-zero and lists the runs.
 """
 
 import math
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -108,6 +110,26 @@ def test_outputs_match_goldens(name, tmp_path):
                 for x in row if not _is_int(x))
     for f in files:
         _assert_close((tmp_path / f).read_text(), want[f], rtol, scale, f"{name}/{f}")
+
+
+def test_finite_n_golden_on_one_blas_thread(tmp_path):
+    # OpenBLAS splits a dot over its threads from 10,000 entries on; the
+    # N = 14 run's sector vdots have 8,192, so its CSVs do not depend on the
+    # thread count, which is read when numpy loads (hence a fresh interpreter)
+    name = "finite_n_arnoldi_n14_mu0.02_nmax12"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dsyk.cli import main; sys.exit(main(sys.argv[1:]))",
+         "--out", str(tmp_path)] + RUNS[name][0],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    files = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    for f in files:
+        assert (tmp_path / f).read_bytes() == (GOLDEN / name / f).read_bytes(), \
+            f"{name}/{f} differs from its golden on one BLAS thread"
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from oracles import (
     hamiltonian_operator,
     j_script_sq,
     normalized,
+    operator_from_dense,
     operator_from_terms,
     popcount_array,
     random_sector_operator,
@@ -206,6 +207,7 @@ def test_syk_sampling_is_deterministic_and_scaled():
     h1 = sample_syk(10, 4, 1.0, seed=7)
     h2 = sample_syk(10, 4, 1.0, seed=7)
     assert h1.couplings == h2.couplings
+    assert np.array_equal(h1.blocks, h2.blocks)
     assert len(h1.couplings) == 210  # C(10, 4)
     # couplings variance ~ (q-1)! J^2 / N^(q-1); loose 3-sigma band
     vals = np.array(list(h1.couplings.values()))
@@ -305,16 +307,38 @@ def test_liouvillian_matches_dense_oracle(n, sectors):
 
 @pytest.mark.parametrize("n", [8, 14])
 @SECTORS
+def test_inner_is_the_dense_vdot(n, sectors):
+    # the sector sums agree with the D x D vdot to rounding, and operands
+    # with no sector in common are orthogonal exactly
+    rng = np.random.default_rng(n)
+    a, b = (random_sector_operator(n, sectors, rng) for _ in range(2))
+    c = random_sector_operator(n, {0, 1} - sectors or {1}, rng)
+    disjoint = not sectors & c.sectors.keys()
+    for x, y in [(a, b), (b, a), (a, a), (c, a), (a, c), (b, b)]:
+        dx, dy = dense_matrix(x), dense_matrix(y)
+        want = complex(np.vdot(dx, dy)) / 2 ** (n // 2)
+        got = x.inner(y)
+        if disjoint and (x is c or y is c):
+            assert got == 0
+        else:
+            scale = np.linalg.norm(dx) * np.linalg.norm(dy) / 2 ** (n // 2)
+            assert abs(got - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [8, 14])
+@SECTORS
 def test_inner_is_the_dense_vdot_bit_for_bit(n, sectors):
-    # BLAS sums a vdot in an order set by each entry's position, and from
-    # 10,000 entries (N = 14) splits it over the threads; the finite-N
-    # goldens' manifests rest on inner rounding as the D x D vdot does.
-    # Operands of one sector set in turn share the kept buffers
+    # inner is, bit for bit, the vdot of the D x D matrices taken sector by
+    # sector: each sector's blocks hold the dense entries of that sector in
+    # the order the dense matrix gives them, and a sector one operand lacks
+    # adds exactly zero
     rng = np.random.default_rng(n)
     a, b = (random_sector_operator(n, sectors, rng) for _ in range(2))
     c = random_sector_operator(n, {0, 1} - sectors or {1}, rng)
     for x, y in [(a, b), (b, a), (a, a), (c, a), (a, c), (b, b)]:
-        want = complex(np.vdot(dense_matrix(x), dense_matrix(y))) / 2 ** (n // 2)
+        dx = operator_from_dense(n, dense_matrix(x)).sectors
+        dy = operator_from_dense(n, dense_matrix(y)).sectors
+        want = sum((complex(np.vdot(dx[s], dy[s])) for s in (0, 1)), 0j) / 2 ** (n // 2)
         assert x.inner(y) == want
 
 
