@@ -121,15 +121,16 @@ def _diagonal_fit(hm, mu, window_hi):
 def finite_n_bytes(n, n_max):
     """Estimated peak memory of one finite-N Arnoldi run.
 
-    The n_max + 1 basis operators, H and the temporaries of one step (the
-    commutator, the dissipator and their sum, with a buffer each, or the
-    Arnoldi update) are each one parity sector, 2^(N-1) complex entries of
-    16 bytes.  Whole runs peaked (tracemalloc, --mu 0.02, n_max 10 and 20)
-    at n_max + 6.0, + 5.3 and + 5.1 of them at N = 16, 18 and 20.  Building
-    H adds about 1 MiB of temporaries at any N (a fixed number of strings x
-    states per pass), which is most of the peak at N = 12.
+    The n_max + 1 basis operators, H's two blocks and the temporaries of
+    one step (the commutator, the dissipator with a^dag and their sum, or
+    the Arnoldi update) are each a block of 2^(N-2) complex entries.  Whole
+    runs peaked (tracemalloc, --mu 0.02, n_max 10 and 20) at n_max + 6.6,
+    + 7.3 and + 8.7 blocks at N = 20, 18 and 16: the 1 MiB covers what does
+    not grow with the blocks (the couplings, numpy's ufunc buffers,
+    argparse, the CSVs), most of the peak at N = 12.  Building H peaks
+    lower: its transform holds at most (D/2) x D entries, two blocks.
     """
-    return (n_max + 6) * 8 * 2 ** n + 2 ** 20
+    return (n_max + 7) * 4 * 2 ** n + 2 ** 20
 
 
 def evolve_bytes(n_sites, points):
@@ -172,8 +173,8 @@ def cmd_finite_n_arnoldi(args):
     _require_counts(("--nmax", args.nmax))
     require_memory(finite_n_bytes(args.n, args.nmax),
                    f"N={args.n} with --nmax {args.nmax}",
-                   f"{args.nmax + 6} parity sectors of 2^(N-1) complex entries, "
-                   "plus 1 MiB to build H")
+                   f"{args.nmax + 7} blocks of 2^(N-2) complex entries, "
+                   "plus 1 MiB")
     out_dir = _out_dir(args)
     for seed in args.seed or [1]:
         tag = _run_finite_n(args, seed, out_dir)

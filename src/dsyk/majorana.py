@@ -1,4 +1,4 @@
-"""Finite-N Majorana operators as Jordan-Wigner matrices in parity sectors.
+"""Finite-N Majorana operators as Jordan-Wigner blocks, i^k times Hermitian.
 
 N Majoranas (gamma = sqrt(2) psi, so gamma^2 = 1) act on D = 2^(N/2)
 states.  gamma_(2k) = Z..Z X and gamma_(2k+1) = Z..Z Y act on qubit k, the
@@ -9,35 +9,26 @@ operators are built here: without dense Kronecker products.
 
 States are ordered by (p, r): p = popcount(x) mod 2 is the fermion parity
 of x and r = x >> 1, so the dropped low bit is p ^ parity(r).  A string of
-parity s (its length mod 2) maps states of parity p to parity p ^ s, so its
-matrix lives in parity sector s: a (2, D/2, D/2) array whose block p holds
-the rows of parity p and the columns of parity p ^ s.  An OperatorVector
-holds one such array per sector present.  The Krylov space of psi_0 is
-odd, so every Arnoldi vector holds one sector, half the entries of its
-D x D matrix; a mixed operator holds both.
-
-Operators carry the normalized trace inner product (A|B) = Tr[A^dag B]/D,
-under which the 2^N strings are orthonormal, so norms and overlaps equal
-those of the string amplitudes.  The SYK Hamiltonian is even, so it is
-block diagonal, and the commutator with it, the hot path of the finite-N
-Arnoldi, is H_p X_p - X_p H_(p^s) on block p of sector s: four (D/2)^3
-matrix products where the D x D matrices took two D^3.
+parity s maps states of parity p to parity p ^ s.  H is even, so it is two
+diagonal (D/2) x (D/2) blocks.  H and the jump operators sqrt(mu) psi_k are
+Hermitian, so the Lindbladian maps a Hermitian operator to i times a
+Hermitian one, and the Arnoldi vectors of psi_0 are i^k A_k with A_k odd
+and Hermitian: an OperatorVector holds k mod 4 and A's block from odd to
+even states, a quarter of the D x D matrix, and [H, O] is two (D/2)^3
+block products.  Operators carry the normalized trace inner product
+(A|B) = Tr[A^dag B]/D, under which the 2^N strings are orthonormal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import ValidationError
-
-# (strings x states) entries per vectorized block when summing strings, so
-# that building H holds no temporary much larger than one operator
-_BLOCK_ENTRIES = 1 << 14
+from .errors import NumericalContractError, ValidationError
 
 
 def _dimension(n):
@@ -74,106 +65,123 @@ def _gamma_tables(n):
 def _sector_of_strings(n, strings, amps):
     """Sector blocks of sum_t amps[t] gamma_(strings[t]), strings as ascending
     index tuples, all of one parity s: entry [p, r, c] is the matrix element
-    between the state (p, r) and the state (p ^ s, c)."""
+    between the state (p, r) and the state (p ^ s, c).
+
+    gamma_S |x> = i^e (-1)^parity(x & mask) |x ^ flip>, so the strings of
+    one flip f fill the entries (x ^ f, x) with sum_mask c_mask
+    (-1)^parity(x & mask): a Walsh-Hadamard transform over the D states,
+    one per distinct flip, of the coefficients placed at their masks.
+    """
     flips, masks, ys = _gamma_tables(n)
     d = _dimension(n)
     half = d // 2
     x = np.arange(d)
-    px, cols = parities(d), x >> 1
-    amps = np.asarray(amps, dtype=complex)
-    by_length = {}
-    for t, s in enumerate(strings):
-        by_length.setdefault(len(s), []).append(t)
-    re = np.zeros(d * half)
-    im = np.zeros(d * half)
-    block = max(1, _BLOCK_ENTRIES // d)
-    for length, ts in by_length.items():
-        idx = np.array([strings[t] for t in ts], dtype=np.int64).reshape(len(ts), length)
-        # gamma_S |x> = i^e (-1)^parity(x & mask) |x ^ flip>: in an ascending
-        # product each factor acts after those of higher index, which flip
-        # only the qubits its mask does not read (or, for gamma_2j before
-        # gamma_2j+1, qubit j, which an X does not read)
-        flip = np.bitwise_xor.reduce(flips[idx], axis=1)
-        mask = np.bitwise_xor.reduce(masks[idx], axis=1)
-        coef = amps[ts] * np.array([1, 1j, -1, -1j])[ys[idx].sum(axis=1) & 3]
-        for start in range(0, len(ts), block):
-            sel = slice(start, start + block)
-            sign = 1.0 - 2.0 * px[x & mask[sel, None]]
-            rows = x ^ flip[sel, None]
-            # the string takes column x (parity px) to a row of parity px ^ s
-            flat = (((px ^ (length & 1)) * half + (rows >> 1)) * half + cols).ravel()
-            re += np.bincount(flat, (sign * coef.real[sel, None]).ravel(), d * half)
-            im += np.bincount(flat, (sign * coef.imag[sel, None]).ravel(), d * half)
-    return (re + 1j * im).reshape(2, half, half)
+    member = np.zeros((len(strings), n), dtype=bool)
+    member[np.repeat(np.arange(len(strings)), [len(s) for s in strings]),
+           np.fromiter(chain.from_iterable(strings), dtype=np.int64)] = True
+    # in an ascending product each factor acts after those of higher index,
+    # which flip only the qubits its mask does not read (or, for gamma_2j
+    # before gamma_2j+1, qubit j, which an X does not read)
+    flip = np.bitwise_xor.reduce(flips * member, axis=1)
+    mask = np.bitwise_xor.reduce(masks * member, axis=1)
+    coef = np.asarray(amps, dtype=complex) * np.array([1, 1j, -1, -1j])[
+        (ys * member).sum(axis=1) & 3]
+    distinct, which = np.unique(flip, return_inverse=True)
+    g = np.zeros((distinct.size, d), dtype=complex)
+    np.add.at(g, (which, mask), coef)
+    for b in range(n // 2):   # butterflies on bit b of x and of mask
+        lo, hi = g.reshape(-1, 2, 1 << b).transpose(1, 0, 2)
+        lo[...], hi[...] = lo + hi, lo - hi
+    # g[f, x] is the entry (x ^ f, x), in block parity(x) ^ s
+    rows = distinct[:, None] ^ x
+    flat = ((parities(d) ^ (len(strings[0]) & 1)) * half + (rows >> 1)) * half + (x >> 1)
+    out = np.zeros(d * half, dtype=complex)
+    out[flat.ravel()] = g.ravel()
+    return out.reshape(2, half, half)
+
+
+def _real(c, m):
+    """c i^m, from c's parts without rounding; NumericalContractError unless it is real."""
+    c = complex(c)
+    re, im = ((c.real, c.imag), (-c.imag, c.real), (-c.real, -c.imag), (c.imag, -c.real))[m & 3]
+    if im != 0:
+        raise NumericalContractError(
+            f"{c} i^{m & 3} is not real: the result would not be i^k times a Hermitian operator")
+    return re
+
+
+def _times_i(w, m):
+    """w i^m for a real w, built from w alone so that the other part is an exact +0.0."""
+    w += 0.0   # -0.0 becomes 0.0
+    return (complex(w, 0.0), complex(0.0, w), complex(0.0 - w, 0.0), complex(0.0, 0.0 - w))[m & 3]
 
 
 class OperatorVector:
-    """Operator on N Majoranas, held as {parity sector s: (2, D/2, D/2) blocks}."""
+    """The odd operator i^k A on N Majoranas, A Hermitian: k mod 4 and A's
+    (D/2) x (D/2) block from odd to even states, a; A's other block is a^dag.
 
-    __slots__ = ("n", "sectors")
+    Scalars and sums that would leave this form (a complex coefficient
+    that is not i^m times a real one) raise NumericalContractError
+    instead of dropping part of the operator.
+    """
 
-    def __init__(self, n, sectors):
+    __slots__ = ("n", "a", "k")
+
+    def __init__(self, n, a, k=0):
         self.n = int(n)
-        self.sectors = sectors
-
-    # -- constructors -------------------------------------------------
+        self.a = a
+        self.k = k & 3
 
     @classmethod
     def basis_string(cls, n, mask, amplitude=1.0):
-        """amplitude * gamma_mask; bit i of mask selects gamma_i."""
+        """amplitude * gamma_mask for an odd string (bit i of mask selects
+        gamma_i) and an amplitude that is real or imaginary."""
         if mask < 0 or mask >> n:
             raise ValidationError(f"mask {mask:#x} does not fit in N={n} Majoranas")
         string = tuple(i for i in range(n) if mask >> i & 1)
-        return cls(n, {len(string) & 1: _sector_of_strings(n, [string], [amplitude])})
-
-    # -- views --------------------------------------------------------
+        if len(string) % 2 == 0:
+            raise ValidationError(f"gamma_{mask:#x} is even; an OperatorVector is odd")
+        # gamma_S^dag = (-1)^(|S|(|S|-1)/2) gamma_S, so gamma_S is i^e times
+        # a Hermitian string with e = 1 at |S| = 3 mod 4 and 0 at 1 mod 4
+        e = len(string) // 2 & 1
+        m = 0 if complex(amplitude).imag == 0 else 1
+        amp = _real(amplitude, -m) * (1.0, -1j)[e]
+        return cls(n, _sector_of_strings(n, [string], [amp])[0].copy(), e + m)
 
     @property
     def n_terms(self):
-        """Nonzero block entries over the sectors held: at most 2^(N-1) for an
-        operator of one fermion parity."""
-        return sum(int(np.count_nonzero(b)) for b in self.sectors.values())
-
-    # -- algebra ------------------------------------------------------
+        """Nonzero entries of A's two blocks: at most 2^(N-1)."""
+        return 2 * int(np.count_nonzero(self.a))
 
     def _check_compatible(self, other):
         if not isinstance(other, OperatorVector):
             raise TypeError("expected an OperatorVector")
         if self.n != other.n:
-            raise ValidationError(
-                f"operators live on N={self.n} and N={other.n}")
+            raise ValidationError(f"operators live on N={self.n} and N={other.n}")
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = {s: b + other.sectors[s] if s in other.sectors else b.copy()
-               for s, b in self.sectors.items()}
-        for s, b in other.sectors.items():
-            if s not in out:
-                out[s] = b.copy()
-        return OperatorVector(self.n, out)
+        sign = _real(1, other.k - self.k)
+        return OperatorVector(self.n, self.a + other.a if sign > 0 else self.a - other.a, self.k)
 
     def __mul__(self, scalar):
-        return OperatorVector(self.n, {s: b * scalar for s, b in self.sectors.items()})
+        m = 0 if complex(scalar).imag == 0 else 1
+        return OperatorVector(self.n, self.a * _real(scalar, -m), self.k + m)
 
     __rmul__ = __mul__
 
     def iaxpy(self, c, other):
         """self += c * other, in place: the Arnoldi update then reuses this
-        operator's blocks instead of allocating new ones."""
+        operator's block instead of allocating a new one."""
         self._check_compatible(other)
-        for s, b in other.sectors.items():
-            if s in self.sectors:
-                self.sectors[s] += b * c
-            else:
-                self.sectors[s] = b * c
+        self.a += _real(c, other.k - self.k) * other.a
 
     def inner(self, other):
-        """(self|other) = Tr[self^dag other]/D: one vdot per sector both
-        operands hold, as strings of different parity are orthogonal."""
+        """(self|other) = i^(k' - k) 2 Re vdot(a, a')/D: A and A' are odd, so
+        Tr[A A'] sums a^dag a' and its conjugate, one per block."""
         self._check_compatible(other)
-        total = sum((complex(np.vdot(b, other.sectors[s]))
-                     for s, b in self.sectors.items() if s in other.sectors), 0j)
-        return total / _dimension(self.n)
+        w = np.vdot(self.a.view(float), other.a.view(float))   # Re vdot(a, a')
+        return _times_i(2.0 * float(w) / _dimension(self.n), other.k - self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,20 +221,13 @@ def sample_syk(n: int, q: int, j: float, seed: int) -> SykHamiltonian:
 
 
 def liouvillian_apply(h: SykHamiltonian, o: OperatorVector) -> OperatorVector:
-    """[H, O] = H O - O H: H_p X_p - X_p H_(p^s) on block p of sector s.
+    """[H, i^k A] = i^(k+1) B, B = -i [H, A] Hermitian: block -i (H_0 a - a H_1).
 
-    Allocates the result and one block-sized buffer for the second product.
+    Allocates the result and one block for the second product.
     """
     if h.n != o.n:
-        raise ValidationError(
-            f"Hamiltonian N={h.n} incompatible with operator N={o.n}")
-    hb = h.blocks
-    buf = np.empty_like(hb[0])
-    out = {}
-    for s, x in o.sectors.items():
-        res = np.matmul(hb, x)   # H_p X_p for both blocks p
-        for p in (0, 1):
-            np.matmul(x[p], hb[p ^ s], out=buf)
-            res[p] -= buf
-        out[s] = res
-    return OperatorVector(o.n, out)
+        raise ValidationError(f"Hamiltonian N={h.n} incompatible with operator N={o.n}")
+    res = h.blocks[0] @ o.a
+    res -= o.a @ h.blocks[1]
+    res *= -1j
+    return OperatorVector(o.n, res, o.k + 1)

@@ -24,7 +24,8 @@ import sympy as sp
 from dsyk.errors import FitError, ValidationError
 from dsyk.krylov import TridiagonalCoeffs
 from dsyk.largen import DiagramState
-from dsyk.majorana import OperatorVector
+from dsyk.lindblad import dissipator_apply
+from dsyk.majorana import OperatorVector, _sector_of_strings, parities
 from dsyk.trees import VACUUM
 
 _I2 = np.eye(2, dtype=complex)
@@ -616,11 +617,137 @@ def string_terms(gammas, matrix, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# the general parity-sector backend: an operator of any parity and phase,
+# held as {parity sector s: (2, D/2, D/2) blocks}, block p the rows of
+# parity p and the columns of parity p ^ s; the commutator four block
+# products, the dissipator one pass per qubit over both blocks.
+# dsyk.majorana holds only the odd i^k A, A Hermitian, as one block and is
+# tested against this; even and mixed operators live here alone.
+
+
+class SectorOperator:
+    """Operator on N Majoranas, held as {parity sector s: (2, D/2, D/2) blocks}."""
+
+    __slots__ = ("n", "sectors")
+
+    def __init__(self, n, sectors):
+        self.n = int(n)
+        self.sectors = sectors
+
+    @classmethod
+    def basis_string(cls, n, mask, amplitude=1.0):
+        """amplitude * gamma_mask; bit i of mask selects gamma_i."""
+        if mask < 0 or mask >> n:
+            raise ValidationError(f"mask {mask:#x} does not fit in N={n} Majoranas")
+        string = tuple(i for i in range(n) if mask >> i & 1)
+        return cls(n, {len(string) & 1: _sector_of_strings(n, [string], [amplitude])})
+
+    def _check_compatible(self, other):
+        if not isinstance(other, SectorOperator):
+            raise TypeError("expected a SectorOperator")
+        if self.n != other.n:
+            raise ValidationError(f"operators live on N={self.n} and N={other.n}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = {s: b + other.sectors[s] if s in other.sectors else b.copy()
+               for s, b in self.sectors.items()}
+        for s, b in other.sectors.items():
+            if s not in out:
+                out[s] = b.copy()
+        return SectorOperator(self.n, out)
+
+    def __mul__(self, scalar):
+        return SectorOperator(self.n, {s: b * scalar for s, b in self.sectors.items()})
+
+    __rmul__ = __mul__
+
+    def iaxpy(self, c, other):
+        """self += c * other, in place."""
+        self._check_compatible(other)
+        for s, b in other.sectors.items():
+            if s in self.sectors:
+                self.sectors[s] += b * c
+            else:
+                self.sectors[s] = b * c
+
+    def inner(self, other):
+        """Tr[self^dag other]/D: one vdot per sector both operands hold."""
+        self._check_compatible(other)
+        total = sum((complex(np.vdot(b, other.sectors[s]))
+                     for s, b in self.sectors.items() if s in other.sectors), 0j)
+        return total / (1 << (self.n // 2))
+
+
+def sector_liouvillian_apply(h, o):
+    """[H, O] = H O - O H: H_p X_p - X_p H_(p^s) on block p of sector s."""
+    if h.n != o.n:
+        raise ValidationError(f"Hamiltonian N={h.n} incompatible with operator N={o.n}")
+    hb = h.blocks
+    out = {}
+    for s, x in o.sectors.items():
+        res = np.matmul(hb, x)   # H_p X_p for both blocks p
+        for p in (0, 1):
+            res[p] -= x[p] @ hb[p ^ s]
+        out[s] = res
+    return SectorOperator(o.n, out)
+
+
+def sector_dissipator_apply(mu, o):
+    """L_D O = (i mu / 2)(N O - P (sum_k gamma_k O gamma_k) P) on each sector,
+    the closed form of dsyk.lindblad.dissipator_apply with its sign (-1)^s:
+    block p of sector s reads block p ^ 1, and x, y agree on the last qubit
+    when parity(r) ^ parity(r') = s."""
+    if mu < 0:
+        raise ValidationError(f"dissipation strength mu={mu} must be >= 0")
+    half = 1 << (o.n // 2 - 1)
+    pr = 1.0 - 2.0 * parities(half)
+    out = {}
+    for s, m in o.sectors.items():
+        res = o.n * m
+        for p in (0, 1):
+            res[p] -= m[p ^ 1] + (1 - 2 * s) * pr[:, None] * m[p ^ 1] * pr
+        for j in reversed(range(o.n // 2 - 1)):
+            before, after = 1 << j, half >> (j + 1)
+            shape = (2,) + (before, 2, after) * 2
+            m7, res7 = m[::-1].reshape(shape), res.reshape(shape)
+            sign = (2.0 - 4.0 * s) * pr[:before, None, None, None] * pr[:before, None]
+            for bit in (0, 1):
+                res7[:, :, bit, :, :, bit, :] -= sign * m7[:, :, 1 - bit, :, :, 1 - bit, :]
+        res *= 0.5j * mu
+        out[s] = res
+    return SectorOperator(o.n, out)
+
+
+def sector_lindbladian_apply(h, mu, o):
+    return sector_liouvillian_apply(h, o) + sector_dissipator_apply(mu, o)
+
+
+def string_backend(mask):
+    """(operator type, dissipator) for gamma_mask: dsyk's block for an odd
+    string, the parity sectors for an even one, which dsyk does not hold."""
+    if bin(mask).count("1") % 2:
+        return OperatorVector, dissipator_apply
+    return SectorOperator, sector_dissipator_apply
+
+
+def sectors_of(o):
+    """The SectorOperator of an OperatorVector i^k A: sector 1, blocks i^k (a, a^dag)."""
+    if isinstance(o, SectorOperator):
+        return o
+    return SectorOperator(o.n, {1: 1j ** o.k * np.stack([o.a, o.a.conj().T])})
+
+
+def random_odd_operator(n, k, rng):
+    """i^k A as an OperatorVector, A's block from odd to even states complex Gaussian."""
+    h = 1 << (n // 2 - 1)
+    return OperatorVector(n, rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)), k)
+
+
+# ---------------------------------------------------------------------------
 # the dense Jordan-Wigner backend: every operator a D x D matrix in state
 # order x, the commutator two D x D products and the dissipator one pass per
-# qubit over the whole matrix.  The parity-sector backend of dsyk.majorana
-# holds the same matrices as (2, D/2, D/2) blocks per sector and is tested
-# against it.
+# qubit over the whole matrix.  Both block backends are tested against it.
 
 
 def _sector_index(n):
@@ -630,32 +757,33 @@ def _sector_index(n):
 
 
 def dense_matrix(o):
-    """The D x D Jordan-Wigner matrix of an OperatorVector, in state order x.
+    """The D x D Jordan-Wigner matrix of a SectorOperator or OperatorVector,
+    in state order x.
 
     Entry (x, y) with parity(x) ^ parity(y) = s is entry
     [parity(x), x >> 1, y >> 1] of sector s's blocks."""
     p, r = _sector_index(o.n)
     d = p.size
     out = np.zeros((d, d), dtype=complex)
-    for s, blocks in o.sectors.items():
+    for s, blocks in sectors_of(o).sectors.items():
         in_sector = (p[:, None] ^ p[None, :]) == s
         out += np.where(in_sector, blocks[p[:, None], r[:, None], r[None, :]], 0)
     return out
 
 
 def operator_from_dense(n, matrix):
-    """The OperatorVector holding both parity sectors of a D x D matrix."""
+    """The SectorOperator holding both parity sectors of a D x D matrix."""
     p, _ = _sector_index(n)
     states = [np.flatnonzero(p == a) for a in (0, 1)]   # ascending x is ascending r
-    return OperatorVector(n, {s: np.stack([matrix[np.ix_(states[a], states[a ^ s])]
+    return SectorOperator(n, {s: np.stack([matrix[np.ix_(states[a], states[a ^ s])]
                                            for a in (0, 1)])
                               for s in (0, 1)})
 
 
 def random_sector_operator(n, sectors, rng):
-    """OperatorVector with complex Gaussian blocks in the given parity sectors."""
+    """SectorOperator with complex Gaussian blocks in the given parity sectors."""
     h = 1 << (n // 2 - 1)
-    return OperatorVector(n, {s: rng.normal(size=(2, h, h)) + 1j * rng.normal(size=(2, h, h))
+    return SectorOperator(n, {s: rng.normal(size=(2, h, h)) + 1j * rng.normal(size=(2, h, h))
                               for s in sectors})
 
 
@@ -702,11 +830,11 @@ def j_script_sq(h):
 
 
 def operator_from_terms(n, terms):
-    """sum of amplitude * gamma_mask over {mask: amplitude}, as an OperatorVector
+    """sum of amplitude * gamma_mask over {mask: amplitude}, as a SectorOperator
     (N and every mask validated like basis_string's)."""
-    out = OperatorVector.basis_string(n, 0, 0.0)
+    out = SectorOperator.basis_string(n, 0, 0.0)
     for mask, c in terms.items():
-        out.iaxpy(c, OperatorVector.basis_string(n, mask))
+        out.iaxpy(c, SectorOperator.basis_string(n, mask))
     return out
 
 
@@ -716,8 +844,8 @@ def zero_operator(n):
 
 
 def hamiltonian_operator(h):
-    """A sampled SYK Hamiltonian as the even OperatorVector of its blocks."""
-    return OperatorVector(h.n, {0: h.blocks})
+    """A sampled SYK Hamiltonian as the even SectorOperator of its blocks."""
+    return SectorOperator(h.n, {0: h.blocks})
 
 
 def operator_norm(o):
@@ -727,8 +855,9 @@ def operator_norm(o):
 
 
 def distance(a, b):
-    """||a - b|| for OperatorVectors, which have no subtraction of their own."""
-    return operator_norm(a + (-1) * b)
+    """||a - b|| of two operators of either block type, from their dense matrices."""
+    m = dense_matrix(a) - dense_matrix(b)
+    return float(np.linalg.norm(m)) / math.sqrt(m.shape[0])
 
 
 def normalized(o):

@@ -102,7 +102,7 @@ def test_finite_n_multiseed(tmp_path):
 
 
 def test_finite_n_cap_exit_code(tmp_path):
-    # 46 parity sectors of 2^31 complex entries: about 1.6 TB, beyond any desk machine
+    # 47 blocks of 2^30 complex entries: about 0.8 TB, beyond any desk machine
     assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", "32"]) == 3
     assert not list(tmp_path.iterdir())
 
@@ -127,11 +127,12 @@ def test_evolve_runs_a_chain_that_peaks_late(tmp_path):
 
 
 def test_finite_n_memory_estimate():
-    # n_max + 1 basis operators, H and the temporaries of one step, in parity
-    # sectors of 2^(N-1) complex entries, plus the 1 MiB that building H takes
-    assert finite_n_bytes(14, 12) == 18 * 8 * 2 ** 14 + 2 ** 20
-    assert finite_n_bytes(24, 40) == 46 * 8 * 2 ** 24 + 2 ** 20   # about 6.2 GB
-    assert finite_n_bytes(32, 40) > 2 ** 40
+    # n_max + 1 basis operators, H and the temporaries of one step, in
+    # blocks of 2^(N-2) complex entries, plus 1 MiB for what does not grow
+    # with them
+    assert finite_n_bytes(14, 12) == 19 * 4 * 2 ** 14 + 2 ** 20
+    assert finite_n_bytes(24, 40) == 47 * 4 * 2 ** 24 + 2 ** 20   # about 3.2 GB
+    assert finite_n_bytes(32, 40) > 2 ** 39
 
 
 # one finite-N run in a fresh interpreter, so that nothing an earlier test
@@ -157,6 +158,22 @@ def test_finite_n_memory_estimate_covers_a_run(tmp_path, n):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert int(proc.stdout.splitlines()[-1]) <= finite_n_bytes(n, 10)
+
+
+@pytest.mark.parametrize("n", [8, 14])
+def test_finite_n_csv_phases_are_exact(tmp_path, n):
+    # the Arnoldi vectors are i^k times Hermitian, so h_mn is i^(n+1-m) times
+    # a real number: its other part is written as an exact 0.0, never -0.0
+    assert main(["--out", str(tmp_path), "finite-n-arnoldi", "--n", str(n),
+                 "--mu", "0.02", "--nmax", "12", "--seed", "1"]) == 0
+    tag = f"N{n}_q4_mu0.02_seed1"
+    text = "".join(p.read_text() for p in tmp_path.glob(f"*_{tag}.csv"))
+    assert not re.search(r"(^|,)-0\.0(,|$)", text, re.M)
+    _, _, rows = read_csv(tmp_path / f"hessenberg_{tag}.csv")
+    for m_, n_, re_, im_ in rows:
+        assert (im_ if (int(n_) + 1 - int(m_)) % 2 == 0 else re_) == "0.0", (m_, n_)
+    _, _, diag = read_csv(tmp_path / f"diagnostics_{tag}.csv")
+    assert [row[1] for row in diag] == ["0.0"] * len(diag)
 
 
 def test_finite_n_diagonal_fit_window(tmp_path):

@@ -1,4 +1,8 @@
-"""Dissipator closed form vs the literal jump-operator sum and a dense oracle."""
+"""Dissipator closed form vs the literal jump-operator sum and a dense oracle.
+
+dsyk's dissipator acts on odd operators i^k A; even strings and mixed
+operators go through the general parity sectors of oracles.py.
+"""
 
 import tracemalloc
 
@@ -22,6 +26,9 @@ from oracles import (
     distance,
     operator_from_terms,
     random_sector_operator,
+    sector_dissipator_apply,
+    sector_lindbladian_apply,
+    string_backend,
     string_hamiltonian,
 )
 
@@ -41,16 +48,18 @@ def test_mu_validation():
 @given(st.integers(min_value=1, max_value=(1 << N_DENSE) - 1))
 @settings(max_examples=100, deadline=None)
 def test_dissipator_scales_strings_by_imus(mask):
-    res = dissipator_apply(MU, OperatorVector.basis_string(N_DENSE, mask))
     s = bin(mask).count("1")
-    expected = OperatorVector.basis_string(N_DENSE, mask, 1j * MU * s)
+    vec, diss = string_backend(mask)
+    res = diss(MU, vec.basis_string(N_DENSE, mask))
+    expected = vec.basis_string(N_DENSE, mask, 1j * MU * s)
     assert np.array_equal(dense_matrix(res), dense_matrix(expected))
 
 
 @given(st.integers(min_value=0, max_value=(1 << N_DENSE) - 1))
 @settings(max_examples=100, deadline=None)
 def test_oracle_matches_closed_form_per_string(mask):
-    fast = dissipator_apply(MU, OperatorVector.basis_string(N_DENSE, mask))
+    vec, diss = string_backend(mask)
+    fast = diss(MU, vec.basis_string(N_DENSE, mask))
     oracle = dissipator_oracle(MU, StringOperator.basis_string(N_DENSE, mask))
     assert distance(fast, operator_from_terms(N_DENSE, oracle.terms)) < 1e-12
 
@@ -71,8 +80,8 @@ def test_mixed_parity_rejected_by_oracle():
     terms = {0b1: 1.0, 0b11: 1.0}
     with pytest.raises(ParityError):
         dissipator_oracle(MU, StringOperator.from_terms(N_DENSE, terms))
-    # the closed form is parity-blind and still fine
-    res = dissipator_apply(MU, operator_from_terms(N_DENSE, terms))
+    # the sectors' closed form is parity-blind and still fine
+    res = sector_dissipator_apply(MU, operator_from_terms(N_DENSE, terms))
     expected = operator_from_terms(N_DENSE, {0b1: 1j * MU, 0b11: 2j * MU})
     assert distance(res, expected) < 1e-14
 
@@ -83,7 +92,7 @@ def test_lindbladian_is_commutator_plus_dissipator():
     terms = {int(msk): complex(*rng.normal(size=2))
              for msk in rng.integers(0, 1 << N_DENSE, size=6)}
     o = operator_from_terms(N_DENSE, terms)
-    full = lindbladian_apply(h, mu, o)
+    full = sector_lindbladian_apply(h, mu, o)
     hd = dense_operator(GAMMAS, string_hamiltonian(h).terms)
     od = dense_operator(GAMMAS, terms)
     commutator = hd @ od - od @ hd
@@ -106,7 +115,7 @@ def test_mu_zero_reduces_to_commutator():
 @pytest.mark.parametrize("sectors", [{1}, {0}, {0, 1}], ids=["odd", "even", "mixed"])
 def test_dissipator_matches_dense_oracle(n, sectors):
     o = random_sector_operator(n, sectors, np.random.default_rng(n))
-    res = dissipator_apply(MU, o)
+    res = sector_dissipator_apply(MU, o)
     assert res.sectors.keys() == o.sectors.keys()
     expected = dense_dissipator_apply(MU, n, dense_matrix(o))
     assert np.max(np.abs(dense_matrix(res) - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -1,20 +1,24 @@
-"""Parity-sector Jordan-Wigner operators against dense and string-basis oracles.
+"""Jordan-Wigner block operators against dense and string-basis oracles.
 
 The string algebra in oracles.py is itself checked against the dense
 Kronecker-product gammas first, then serves as the reference for the
-sector backend, as does the dense D x D backend of oracles.py.
+block backends, as does the dense D x D backend of oracles.py.  The
+general parity-sector backend of oracles.py (SectorOperator), checked
+against the dense matrices, is in turn the reference for dsyk's odd
+i^k A blocks, and holds the tests of even and mixed operators.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsyk.errors import ValidationError
+from dsyk.errors import NumericalContractError, ValidationError
 from dsyk.cli import arnoldi
-from dsyk.lindblad import lindbladian_apply
+from dsyk.lindblad import dissipator_apply, lindbladian_apply
 from dsyk.majorana import OperatorVector, liouvillian_apply, sample_syk
 from oracles import (
     ArrayVector,
+    SectorOperator,
     StringOperator,
     commute_phase,
     dagger,
@@ -31,7 +35,12 @@ from oracles import (
     operator_from_dense,
     operator_from_terms,
     popcount_array,
+    random_odd_operator,
     random_sector_operator,
+    sector_dissipator_apply,
+    sector_lindbladian_apply,
+    sector_liouvillian_apply,
+    sectors_of,
     string_dagger_phase,
     string_hamiltonian,
     string_lindbladian_apply,
@@ -123,7 +132,7 @@ def test_parity_split():
 def test_strings_are_the_dense_jordan_wigner_strings(n):
     gammas = dense_gammas(n)
     for mask in range(1 << n):
-        assert np.array_equal(dense_matrix(OperatorVector.basis_string(n, mask)),
+        assert np.array_equal(dense_matrix(SectorOperator.basis_string(n, mask)),
                               dense_string(gammas, mask))
 
 
@@ -245,7 +254,7 @@ def test_liouvillian_against_dense_commutator(seed):
     t = {0b1: 1.0, 0b111: 0.5 - 0.25j, 0b10101: -1.0}
     od = dense_operator(GAMMAS, t)
     expected = hd @ od - od @ hd
-    res = liouvillian_apply(h, operator_from_terms(N_DENSE, t))
+    res = sector_liouvillian_apply(h, operator_from_terms(N_DENSE, t))
     assert np.allclose(dense_matrix(res), expected, atol=1e-12)
     oracle = string_liouvillian_apply(h, StringOperator.from_terms(N_DENSE, t))
     assert np.allclose(dense_operator(GAMMAS, oracle.terms), expected, atol=1e-12)
@@ -258,8 +267,8 @@ def test_liouvillian_hermitian_wrt_inner():
         a, b = (operator_from_terms(
             N_DENSE, {int(m): complex(*rng.normal(size=2))
                       for m in rng.integers(0, 1 << N_DENSE, size=4)}) for _ in range(2))
-        lhs = a.inner(liouvillian_apply(h, b))
-        rhs = liouvillian_apply(h, a).inner(b)
+        lhs = a.inner(sector_liouvillian_apply(h, b))
+        rhs = sector_liouvillian_apply(h, a).inner(b)
         assert abs(lhs - rhs) < 1e-11
 
 
@@ -288,7 +297,7 @@ def test_arnoldi_matches_string_backend(n, mu):
     assert np.max(np.abs(hm.h - ref.h)) < 1e-12
 
 
-# -- the parity sectors against the dense D x D backend ------------------
+# -- the oracle's parity sectors against the dense D x D backend ---------
 
 SECTORS = pytest.mark.parametrize("sectors", [{1}, {0}, {0, 1}], ids=["odd", "even", "mixed"])
 
@@ -298,7 +307,7 @@ SECTORS = pytest.mark.parametrize("sectors", [{1}, {0}, {0, 1}], ids=["odd", "ev
 def test_liouvillian_matches_dense_oracle(n, sectors):
     h = sample_syk(n, 4, 1.0, seed=n)
     o = random_sector_operator(n, sectors, np.random.default_rng(n))
-    res = liouvillian_apply(h, o)
+    res = sector_liouvillian_apply(h, o)
     assert res.sectors.keys() == o.sectors.keys()
     hd = dense_operator(dense_gammas(n), string_hamiltonian(h).terms)
     expected = dense_liouvillian_apply(hd, dense_matrix(o))
@@ -344,7 +353,7 @@ def test_inner_is_the_dense_vdot_bit_for_bit(n, sectors):
 
 @pytest.mark.parametrize("mu", [0.02, 0.0])
 def test_arnoldi_matches_dense_oracle(mu):
-    # the sector backend and the D x D matrices, H summed from Kronecker
+    # the i^k A blocks and the D x D matrices, H summed from Kronecker
     # gammas, give one Hessenberg matrix up to rounding
     n = 12
     h = sample_syk(n, 4, 1.0, seed=6)
@@ -354,3 +363,109 @@ def test_arnoldi_matches_dense_oracle(mu):
                      ArrayVector(dense_string(dense_gammas(n), 1)), 12)
     assert hm.basis_dim == ref.basis_dim == 13
     assert np.max(np.abs(hm.h - ref.h)) <= 1e-12 * np.max(np.abs(ref.h))
+
+
+# -- the i^k A blocks against the oracle's parity sectors -----------------
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_odd_strings_are_the_dense_jordan_wigner_strings(n):
+    gammas = dense_gammas(n)
+    for mask in range(1 << n):
+        if bin(mask).count("1") % 2 == 0:
+            with pytest.raises(ValidationError):
+                OperatorVector.basis_string(n, mask)
+            continue
+        for amp in (1.0, -0.5j):
+            assert np.array_equal(dense_matrix(OperatorVector.basis_string(n, mask, amp)),
+                                  amp * dense_string(gammas, mask))
+    with pytest.raises(NumericalContractError):
+        OperatorVector.basis_string(n, 1, 1.0 + 1.0j)
+
+
+def _sector_gap(got, want):
+    """||got - want|| of an OperatorVector against a SectorOperator, over their blocks."""
+    got = sectors_of(got)
+    assert got.sectors.keys() == want.sectors.keys() == {1}
+    return np.linalg.norm(got.sectors[1] - want.sectors[1])
+
+
+@pytest.mark.parametrize("n", [8, 10, 14])
+@pytest.mark.parametrize("k", range(4))
+def test_engine_matches_sector_oracle(n, k):
+    # the commutator, the dissipator, their sum and the inner product of
+    # i^k A agree with the general sectors to rounding, relative to the
+    # norms of the operands
+    mu = 0.3
+    h = sample_syk(n, 4, 1.0, seed=n)
+    rng = np.random.default_rng(10 * n + k)
+    o = random_odd_operator(n, k, rng)
+    ref = sectors_of(o)
+    h_norm, o_norm = np.linalg.norm(h.blocks), np.linalg.norm(ref.sectors[1])
+    assert _sector_gap(liouvillian_apply(h, o), sector_liouvillian_apply(h, ref)) \
+        <= 1e-13 * h_norm * o_norm
+    assert _sector_gap(dissipator_apply(mu, o), sector_dissipator_apply(mu, ref)) \
+        <= 1e-13 * mu * n * o_norm
+    assert _sector_gap(lindbladian_apply(h, mu, o), sector_lindbladian_apply(h, mu, ref)) \
+        <= 1e-13 * (h_norm + mu * n) * o_norm
+    for j in range(4):
+        v = random_odd_operator(n, j, rng)
+        scale = abs(o.inner(o) * v.inner(v)) ** 0.5
+        assert abs(o.inner(v) - ref.inner(sectors_of(v))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("mu", [0.02, 0.0])
+def test_arnoldi_matches_sector_oracle(mu):
+    n = 12
+    h = sample_syk(n, 4, 1.0, seed=6)
+    hm, _ = arnoldi(lambda v: lindbladian_apply(h, mu, v),
+                    OperatorVector.basis_string(n, 1), 12)
+    ref, _ = arnoldi(lambda v: sector_lindbladian_apply(h, mu, v),
+                     SectorOperator.basis_string(n, 1), 12)
+    assert hm.basis_dim == ref.basis_dim == 13
+    assert np.max(np.abs(hm.h - ref.h)) <= 1e-12 * np.max(np.abs(ref.h))
+
+
+def test_liouvillian_hermitian_on_blocks():
+    h = sample_syk(10, 4, 1.0, seed=5)
+    rng = np.random.default_rng(4)
+    for k in range(4):
+        a, b = random_odd_operator(10, k, rng), random_odd_operator(10, (k + 1) % 4, rng)
+        lhs = a.inner(liouvillian_apply(h, b))
+        rhs = liouvillian_apply(h, a).inner(b)
+        assert abs(lhs - rhs) < 1e-11 * abs(a.inner(a) * b.inner(b)) ** 0.5 * 10
+
+
+def test_phases_are_exact():
+    # an inner product is i^(k' - k) times a real number, with the other
+    # part an exact +0.0, and a product with an imaginary scalar turns the
+    # phase without rounding
+    rng = np.random.default_rng(1)
+    u = random_odd_operator(8, 0, rng)
+    for j in range(4):
+        z = u.inner(random_odd_operator(8, j, rng))
+        part = (z.imag, z.real, z.imag, z.real)[j]
+        assert part == 0.0 and np.copysign(1.0, part) == 1.0
+    w = u * -2.0j
+    assert w.k == 1 and np.array_equal(w.a, -2.0 * u.a)
+    assert np.array_equal(dense_matrix(w), -2.0j * dense_matrix(u))
+
+
+def test_wrong_phase_raises():
+    # a coefficient that is not i^m times a real number would drop the
+    # anti-Hermitian part of the result: it raises instead
+    rng = np.random.default_rng(2)
+    u, v = random_odd_operator(8, 0, rng), random_odd_operator(8, 1, rng)
+    with pytest.raises(NumericalContractError):
+        u + v
+    with pytest.raises(NumericalContractError):
+        u.iaxpy(1.0, v)
+    with pytest.raises(NumericalContractError):
+        u.iaxpy(0.5 + 0.5j, random_odd_operator(8, 0, rng))
+    with pytest.raises(NumericalContractError):
+        u * (1.0 + 1.0j)
+    a = u.a.copy()
+    u.iaxpy(-2.0j, v)   # -2i * i^1 = 2, real
+    assert np.array_equal(u.a, a + 2.0 * v.a)
+    w = random_odd_operator(8, 2, rng)   # i^2 = -1
+    assert np.array_equal((u + w).a, u.a - w.a)
