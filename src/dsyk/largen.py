@@ -208,9 +208,18 @@ class DiagramState:
         return math.sqrt(float(self.norm_sq()))
 
 
-def _scatter(index, values, size):
-    out = np.zeros(size, dtype=values.dtype)
-    np.add.at(out, index, values)
+def _scatter(index, gather, x, factor, size):
+    """out[index[e]] += factor[e] x[gather[e]], added in edge order from zero
+    as np.add.at adds: by bincount for a float step of one slice, else 2^18
+    edges at a time.  Non-floats are multiplied only where factor != 1."""
+    if x.dtype == np.float64 and len(index) <= 2 ** 18:
+        return np.bincount(index, factor * x[gather], minlength=size)
+    out = np.zeros(size, dtype=x.dtype)
+    for e in range(0, len(index), 2 ** 18):
+        values, f = x[gather[e:e + 2 ** 18]], factor[e:e + 2 ** 18]
+        big = slice(None) if values.dtype == np.float64 else np.flatnonzero(f != 1)
+        values[big] = f[big] * values[big]
+        np.add.at(out, index[e:e + 2 ** 18], values)
     return out
 
 
@@ -229,12 +238,7 @@ def l_plus_apply(state: DiagramState) -> DiagramState:
     out = {}
     for n, x in state.gens.items():
         step = t.successors(n)
-        # about two edges in three have m = 1; their gathered values are
-        # added as they are instead of being copied by a product
-        values = x[step.rows]
-        big = np.flatnonzero(step.mult != 1)
-        values[big] = step.mult[big] * values[big]
-        out[n + 1] = _scatter(step.cols, values, t.count(n + 1))
+        out[n + 1] = _scatter(step.cols, step.rows, x, step.mult, t.count(n + 1))
     return DiagramState(space, out, state.scale)
 
 
@@ -254,7 +258,7 @@ def l_minus_apply(state: DiagramState) -> DiagramState:
         if n == 0 or (n == 1 and space.q is None):
             continue
         step = t.predecessors(n)
-        out[n - 1] = _scatter(step.rows, step.down * y[step.cols], t.count(n - 1))
+        out[n - 1] = _scatter(step.rows, step.cols, y, step.down, t.count(n - 1))
     return DiagramState(space, out, state.scale * space.arc_weight)
 
 

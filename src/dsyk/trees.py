@@ -6,15 +6,16 @@ childless vertex.  Id 0 is the empty diagram (the bare fermion) and id 1
 the single arc.  Every other tree is the sorted list of its children's ids
 (Aho-Hopcroft-Ullman), so two trees are isomorphic exactly when their child
 ids are equal.  Generation n holds the trees with n arcs, as one matrix
-with a row of child ids per tree, padded with leading zeros: a zero is a
-free slot of the root, where the single arc, the only successor of the
-empty diagram, can grow.  Each generation is built from the one before in
-a few whole-array passes and its ids are contiguous.  Each step from
-generation n to n + 1 keeps, as CSR-ordered edge arrays, the removal
-multiplicities m(S -> T) = a(T -> S) |Aut S| / |Aut T| and the integers
-a(T -> S) slot(S) / slot(T), a(T -> S) the number of ways to attach a leaf
-to T that give S.  Growing inside a child c of T multiplies c's own edge
-integers, so they follow from earlier steps without any |Aut|.
+with a column of child ids per tree, padded with leading zeros: row j holds
+every tree's j-th smallest child, and a zero is a free slot of the root,
+where the single arc, the only successor of the empty diagram, can grow.
+Each generation is built from the one before in a few whole-row passes
+and its ids are contiguous.  Each step from generation n to n + 1 keeps,
+as CSR-ordered edge arrays, the removal multiplicities m(S -> T) =
+a(T -> S) |Aut S| / |Aut T| and the integers a(T -> S) slot(S) / slot(T),
+a(T -> S) the number of ways to attach a leaf to T that give S.  Growing
+inside a child c of T multiplies c's own edge integers, so they follow
+from earlier steps without any |Aut|.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ VACUUM = 0
 ROOT = 1
 
 # memory per tree of a whole Lanczos run, rounded up from the heaviest one
-# measured: the exact q = 4 run to n = 18 peaked at 778 MB RSS for
-# 1,357,243 trees (601 bytes each); the exact large-q run to n = 17 at
-# 490 MB for 1,011,312 trees (508 bytes each), and the float q = 4 run to
-# n = 20 at 1,572 MB for 9,135,362 trees (180 bytes each)
+# measured, the exact q = 4 run to n = 18: 778 MB RSS for 1,357,243 trees
+# (601 bytes each) with a row per tree, 746 MB (577) with a column.  The
+# exact large-q run to n = 17 needs 390 bytes a tree (1,011,312 trees) and
+# the float q = 4 run to n = 20 153 (9,135,362 trees).
 TREE_BYTES = 650
 
 
@@ -125,64 +126,81 @@ def checked_product(x, y):
     return x.astype(object) * y.astype(object)
 
 
+def _grown_rows(kids, rows, where, s, mult):
+    """(S's child ids, one tree per column: kids[:, rows] with s over the
+    first copy of c in row where; m(S -> T), mult times the copies of s).
+    s > c, so one pass of compare-exchanges moves s to its place.  Trees go
+    2^16 at a time to keep temporaries small; clip gathers unbuffered."""
+    grown = np.empty((len(kids), len(rows)), dtype=np.int32)
+    copies = np.zeros(len(rows), dtype=narrowest(len(kids)))
+    for e in range(0, len(rows), 2 ** 16):
+        part, r, s_e, w, n_s = (x[..., e:e + 2 ** 16] for x in (grown, rows, s, where, copies))
+        for j, g in enumerate(part):
+            np.take(kids[j], r, out=g, mode="clip")
+            np.copyto(g, s_e, where=w == j)
+            n_s += g == s_e
+        for left, right in zip(part[:-1], part[1:]):
+            low = np.minimum(left, right)
+            np.maximum(left, right, out=right)
+            left[:] = low
+    return grown, _times(mult, copies)
+
+
 def _pack(rows):
-    """Each row as int64 words: its columns in order, all in as many bits as
-    the largest value needs, as many to a word as fit in 63 bits.  Returns
-    the words and that bit width."""
-    bits = max(int(rows.max()).bit_length(), 1)
-    per = 63 // bits
-    words = []
-    for lo in range(0, rows.shape[1], per):
-        word = np.zeros(len(rows), dtype=np.int64)
-        for j in range(lo, min(lo + per, rows.shape[1])):
-            word <<= bits
-            word |= rows[:, j]
-        words.append(word)
-    return words, bits
+    """Each column of rows, one tree per column, as one int64 key: row j in
+    as many bits as its largest value needs, row 0 highest.  Returns a list
+    holding the keys, for _first_rows to free, and those bit widths."""
+    bits = [int(row.max()).bit_length() for row in rows]
+    if sum(bits) > 63:
+        raise NumericalContractError(f"tree keys need {sum(bits)} bits, past 63")
+    key = np.zeros(rows.shape[1], dtype=np.int64)
+    for row, b in zip(rows, bits):
+        key <<= b
+        key |= row
+    return [key], bits
 
 
-def _unpack(words, bits, width):
-    """The int32 rows that _pack packed into words."""
-    rows = np.empty((len(words[0]), width), dtype=np.int32)
-    per = 63 // bits
-    for i, word in enumerate(words):
-        for j in reversed(range(i * per, min(i * per + per, width))):
-            rows[:, j] = word & ((1 << bits) - 1)
-            word = word >> bits
+def _unpack(key, bits):
+    """The int32 rows that _pack packed into key, consuming key."""
+    rows = np.empty((len(bits), len(key)), dtype=np.int32)
+    for row, b in zip(rows[::-1], bits[::-1]):
+        np.bitwise_and(key, (1 << b) - 1, out=row, casting="unsafe")
+        key >>= b
     return rows
 
 
-def _first_rows(words):
-    """(index of the first copy of each distinct packed row, in order of
-    appearance; for every row, the rank of its distinct row in that order).
-
-    The list words is left holding only the words of those first copies,
-    so that the full ones are freed before the ranks are made.
-    """
-    size = len(words[0])
-    # any sort groups equal rows, and each group's least index is its first copy
-    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
-    order = order.astype(_index(size))
-    new = np.zeros(size, dtype=bool)   # where a group starts in order
-    new[0] = True
-    for word in words:
-        w = word[order]
-        new[1:] |= w[1:] != w[:-1]
-        del w
-    del word   # the full words go once words holds the first rows'
-    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+def _first_rows(keys, bits):
+    """(the distinct keys by first appearance; the index of each one's first
+    copy; every key's rank in that order).  keys is a list holding one int64
+    array below 2^bits, emptied so that it is freed before the ranks are
+    made.  With each key's index in its low bits one plain sort puts a
+    group's first copy first; past 63 bits a stable argsort does."""
+    key = keys.pop()
+    size = len(key)
+    shift = (size - 1).bit_length()
+    if bits + shift <= 63:
+        key <<= shift
+        key |= np.arange(size, dtype=_index(size))
+        key.sort()
+        order = (key & ((1 << shift) - 1)).astype(_index(size))
+        key >>= shift
+    else:
+        order = np.argsort(key, kind="stable").astype(_index(size))
+        key.sort()
+    new = np.concatenate(([True], key[1:] != key[:-1]))   # where a group starts
+    firsts = order[new]
     by_first = np.argsort(firsts)
     rank = np.empty(len(firsts), dtype=np.int32)
     rank[by_first] = np.arange(len(firsts), dtype=np.int32)
-    firsts = firsts[by_first]
+    firsts, key = firsts[by_first], key[new][by_first]
     del by_first
-    words[:] = [w[firsts] for w in words]
-    group = np.cumsum(new, dtype=np.int32)   # each row's group, 1-based, in sorted order
+    group = np.cumsum(new, dtype=np.int32)   # each key's group, 1-based, in sorted order
     del new
     group -= 1
+    group = rank[group]
     inverse = np.empty(size, dtype=np.int32)
-    inverse[order] = rank[group]
-    return firsts, inverse
+    inverse[order] = group
+    return key, firsts, inverse
 
 
 class TreeSpace:
@@ -199,6 +217,10 @@ class TreeSpace:
     is (n-1)! and its slot product at q = 64 is already 63!/51! at 13
     arcs, past int64.
 
+    A grown tree's child ids are re-sorted by one compare-exchange pass,
+    and each generation is deduplicated by one sort of int64 keys that
+    pack each row of ``_gens[n]`` in its own bit width.
+
     The edges of every step built so far are also stored once, as one CSR
     by global T id: offsets ``_ptr``, and per edge S's position in its
     generation ``_cols`` and the integers ``_attach`` (a(T -> S)),
@@ -210,7 +232,7 @@ class TreeSpace:
 
     def __init__(self, q=None):
         self.cap = None if q is None else q - 1
-        # generation n's child-id matrix, n columns wide up to the cap
+        # generation n's child ids, one tree per column, n rows up to the cap
         self._gens = [None, np.zeros((1, 1), dtype=np.int32)]
         self.aut = np.ones(2, dtype=np.int64)
         # product over vertices of (q-1)(q-2)...(q-c), c the child count
@@ -259,28 +281,28 @@ class TreeSpace:
         n = len(self.start) - 2
         lo, hi = self.start[n], self.start[n + 1]
         kids = self._gens[n]
-        if self.cap is None or kids.shape[1] < self.cap:
-            kids = np.pad(kids, ((0, 0), (1, 0)))   # one more free root slot
-        width = kids.shape[1]
+        if self.cap is None or len(kids) < self.cap:
+            kids = np.pad(kids, ((1, 0), (0, 0)))   # one more free root slot
+        width, size = kids.shape
 
-        # a site is the first copy of each distinct id in a row: the root
+        # a site is the first copy of each distinct id in a tree: the root
         # (a zero) first, then each child ascending, as attachments lists them
         is_site = np.ones(kids.shape, dtype=bool)
-        is_site[:, 1:] = kids[:, 1:] != kids[:, :-1]
-        flat = np.flatnonzero(is_site)
+        is_site[1:] = kids[1:] != kids[:-1]
+        flat = np.flatnonzero(is_site.T)   # tree by tree
         del is_site
         k = np.diff(flat, append=kids.size)   # copies of c
         row, col = np.divmod(flat, width)
-        row, col = row.astype(_index(len(kids))), _narrow(col)
+        row, col = row.astype(_index(size)), _narrow(col)
         del flat
-        c = kids[row, col]
+        c = kids[col, row]
         root = c == VACUUM
         k_attach = _narrow(np.where(root, 1, k))
         # slot(S)/slot(T) at the root: the free slots q - 1 - len(kids)
         k_down = _narrow(np.where(root, 1 if self.cap is None else k + self.cap - width, k))
         del k
         sites = np.count_nonzero(row == 0)
-        first = tuple(kids[0][kids[0] != VACUUM].tolist())
+        first = tuple(kids[:, 0][kids[:, 0] != VACUUM].tolist())
         expected = [(c_, k_) for _, c_, k_ in attachments(first, self.cap)]
         if list(zip(c[:sites].tolist(), k_attach[:sites].tolist())) != expected:
             raise NumericalContractError(f"generation {n}: array growth sites "
@@ -313,32 +335,26 @@ class TreeSpace:
         rows = row[site]
         where = col[site]
         del site, row, col
-        grown = kids[rows]
-        del kids
-        for j in range(width):
-            np.copyto(grown[:, j], s, where=where == j)
-        del where
-        grown.sort(axis=1)
-        m = _times(mult, (grown == s[:, None]).sum(axis=1, dtype=narrowest(width)))
-        del mult, s
-        words, bits = _pack(grown)
+        grown, m = _grown_rows(kids, rows, where, s, mult)
+        del kids, where, mult, s
+        keys, bits = _pack(grown)
         del grown   # before the sort's temporaries
 
-        firsts, cols = _first_rows(words)   # leaves the first rows' words
-        self._gens.append(_unpack(words, bits, width))
-        del words
+        key, firsts, cols = _first_rows(keys, sum(bits))
+        self._gens.append(_unpack(key, bits))
         # |Aut S| = |Aut T| m / a and slot(S) = slot(T) down / a, read on the
         # first edge into each S; a remainder would mean a wrong edge integer
         t, af = lo + rows[firsts], a[firsts]
         aut = checked_product(self.aut[t], m[firsts])
         slot = checked_product(self.slot[t], d[firsts])
-        del t, firsts
+        del t, firsts, key
         if (aut % af).any() or (slot % af).any():
             raise NumericalContractError(f"generation {n + 1}: |Aut| or slot "
                                          "product is not an integer")
         self.aut = np.concatenate([self.aut, aut // af])
         self.slot = np.concatenate([self.slot, slot // af])
-        self.start.append(hi + len(self._gens[-1]))
+        del aut, slot, af   # before _add_step's copies
+        self.start.append(hi + self._gens[-1].shape[1])
         self._add_step(rows, cols, a, m, d)
 
     def _add_step(self, rows, cols, a, m, d):

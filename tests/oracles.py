@@ -258,8 +258,8 @@ def generation_of(space, i):
 def tree_kids(space, i):
     """The sorted child ids of tree id i >= 1 of a dsyk TreeSpace, as a tuple."""
     n = generation_of(space, i)
-    row = space._gens[n][i - space.start[n]]
-    return tuple(row[row != VACUUM].tolist())
+    kids = space._gens[n][:, i - space.start[n]]   # one column per tree
+    return tuple(kids[kids != VACUUM].tolist())
 
 
 def nested_tree(space, i):
@@ -297,6 +297,16 @@ def tuple_growth_order(space, n):
         new.update(dict.fromkeys(out))
         grown.append(out)
     return list(new), grown
+
+
+def first_appearance(keys):
+    """The distinct values of an array in order of first appearance, the
+    index of each one's first copy, and every value's rank in that order."""
+    first = {}
+    for i, k in enumerate(keys.tolist()):
+        first.setdefault(k, i)
+    rank = {k: r for r, k in enumerate(first)}
+    return list(first), list(first.values()), [rank[k] for k in keys.tolist()]
 
 
 def diagram_state(space, terms):

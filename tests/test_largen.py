@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from dsyk.errors import ValidationError
 from dsyk.krylov import lanczos
 from dsyk.largen import (
     DiagramSpace,
+    _scatter,
     hamiltonian_apply,
     l_minus_apply,
     l_plus_apply,
@@ -301,3 +303,24 @@ def test_float_lanczos_survives_tiny_norms_at_large_q():
     assert len(coeffs.b_sq) == len(ref.b_sq) == 13
     for bv, rv in zip(coeffs.b_sq, ref.b_sq):
         assert bv == pytest.approx(float(rv), rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype, size", [(float, 1000), (float, 2 ** 18 + 1),
+                                         (complex, 1000), (object, 1000)])
+def test_scatter_adds_as_add_at(dtype, size):
+    # bincount (floats, a step of one slice of 2^18 edges) and np.add.at
+    # slice by slice both add in edge order from zero: over magnitudes from
+    # 1e-8 to 1e8 another order would show in the last bits
+    rng = np.random.default_rng(size)
+    index = rng.integers(0, 50, size).astype(np.int32)
+    gather = rng.integers(0, 70, size).astype(np.int32)
+    factor = rng.integers(1, 4, size).astype(np.uint8)
+    x = rng.normal(size=70) * 10.0 ** rng.integers(-8, 9, 70)
+    if dtype is complex:
+        x = x + 1j * x[::-1]
+    elif dtype is object:   # Python ints past int64
+        x = np.array([int(v * 2 ** 40) * 2 ** 30 for v in x], dtype=object)
+    expected = np.zeros(60, dtype=x.dtype)
+    np.add.at(expected, index, factor * x[gather])
+    got = _scatter(index, gather, x, factor, 60)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)

@@ -1,8 +1,10 @@
 """Nested-tuple tree combinatorics, and the integer-id TreeSpace against them."""
 
+import hashlib
 import math
 import os
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sysconf_with_4_gib_available
-from dsyk.errors import ResourceLimitError, require_memory
-from dsyk.trees import ROOT, TREE_BYTES, TreeSpace, checked_product, narrowest
+from dsyk.errors import NumericalContractError, ResourceLimitError, require_memory
+from dsyk.trees import (ROOT, TREE_BYTES, TreeSpace, _first_rows, _pack, _unpack,
+                        checked_product, narrowest)
 from oracles import (
     attach_counts,
     attachments,
@@ -19,6 +22,7 @@ from oracles import (
     brute_linear_extensions,
     canonical,
     enumerate_trees,
+    first_appearance,
     generation_of,
     leaf_removals,
     linear_extensions,
@@ -310,3 +314,70 @@ def test_star_aut_is_factorial():
     sp = TreeSpace(q=None)
     i = star(sp, 13)
     assert sp.aut[i] == math.factorial(12)
+
+
+# SHA-256 over start, aut, slot and the five CSR arrays, dtype and bytes,
+# as the row-per-tree build before the column layout gave them
+GRAPH_DIGESTS = {
+    (4, 15): "a043ed1e011ecb582f6d7e29d14f89aaefd545021e8dc9f681f9bec80083fbe1",
+    (None, 13): "dfb60e31c7877ef098e1498e9392fb2ef3db901a7937a9960ca1575ff601dc14",
+    (6, 12): "f0365982a625ce4e8a376f389078e64d167b2afce8bfcfb619911282205302f2",
+}
+
+
+@pytest.mark.parametrize("q, n", list(GRAPH_DIGESTS))
+def test_graph_is_pinned_at_workload_sizes(q, n):
+    sp = TreeSpace(q=q)
+    sp.ids(n)
+    h = hashlib.sha256(np.array(sp.start, dtype=np.int64).tobytes())
+    for a in (sp.aut, sp.slot, sp._ptr, sp._cols, sp._attach, sp._mult, sp._down):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == GRAPH_DIGESTS[q, n]
+
+
+def first_rows(keys, bits):
+    key, firsts, inverse = _first_rows([keys.copy()], bits)
+    return key.tolist(), firsts.tolist(), inverse.tolist()
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_first_rows_numbers_keys_by_first_appearance(past):
+    # 2,000 keys need an 11-bit index: keys of 52 bits take it in their low
+    # bits and one plain sort, keys of 53 a stable argsort
+    rng = np.random.default_rng(past)
+    bits = 52 + past
+    pool = [0, 1, 2 ** (bits - 1), 2 ** bits - 1] + rng.integers(0, 2 ** bits, 60).tolist()
+    keys = rng.choice(np.array(pool, dtype=np.int64), 2000)
+    assert first_rows(keys, bits) == first_appearance(keys)
+    same = np.full(2000, 2 ** bits - 1, dtype=np.int64)
+    assert first_rows(same, bits) == ([2 ** bits - 1], [0], [0] * 2000)
+    assert first_rows(same[:1], 63) == ([2 ** bits - 1], [0], [0])
+
+
+def test_pack_gives_each_row_its_own_bit_width():
+    rows = np.array([[0, 1, 1], [5, 2, 0], [2 ** 31 - 1, 7, 0], [2 ** 27, 0, 3]],
+                    dtype=np.int32)
+    [key], bits = _pack(rows)
+    assert bits == [1, 3, 31, 28]
+    assert np.array_equal(_unpack(key, bits), rows)
+    rows[3, 0] = 2 ** 28   # 64 bits in all
+    with pytest.raises(NumericalContractError, match="64 bits"):
+        _pack(rows)
+
+
+def test_growing_generation_16_peaks_below_the_row_layout():
+    # traced from the start, so that the arrays the step frees count too;
+    # the row-per-tree build before the column layout peaked at 17,033,947
+    # bytes over what generation 15 held
+    tracemalloc.start()
+    try:
+        sp = TreeSpace(q=4)
+        sp.ids(15)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sp.ids(16)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17_033_947
