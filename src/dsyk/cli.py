@@ -137,11 +137,13 @@ def evolve_bytes(n_sites, points):
     """Estimated peak memory of one evolve run.
 
     The amplitudes at the points output times take 8 bytes a site each.
-    The chain coefficients, the stepper's work arrays and the snapshot rows
-    took 368 bytes a site more at the peak measured with tracemalloc at
-    20,000 and 80,000 sites and 2-50 points.
+    The peak falls while the stepper factorizes its stage matrices: with
+    the chain coefficients and the stepper's work arrays it took 443 bytes
+    a site more, measured with tracemalloc at 80,000 sites and 2-50 points,
+    and 451 at 20,000.  The 1 MiB covers what does not grow with the chain
+    (argparse, the CSVs' header and numpy's buffers).
     """
-    return n_sites * (8 * points + 368)
+    return n_sites * (8 * points + 448) + 2 ** 20
 
 
 def _require_counts(*flags):

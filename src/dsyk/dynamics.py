@@ -6,11 +6,12 @@ dissipative chain, so i a_n is a real damping and the chain is one real
 tridiagonal system y' = G y; the sign and factor conventions are locked by
 reproducing the exact Meixner solution.
 
-Radau IIA, an L-stable implicit method, steps at the accuracy limit of
-the O(1) physical frequencies, not at the stability limit of the truncated
-tail's large b_n.  G is constant, so its stage equations are linear and
-each step is solved outright by LAPACK's tridiagonal LU, with no Newton
-iteration.
+Radau IIA with 7 stages, an L-stable implicit method of order 13, steps
+at the accuracy limit of the O(1) physical frequencies, not at the
+stability limit of the truncated tail's large b_n.  Its tableau is derived
+from its nodes at import.  G is constant, so the stage equations are
+linear and each step is solved outright by LAPACK's tridiagonal LU, with
+no Newton iteration.
 
 Of scipy only the LAPACK extension behind ``scipy.linalg.lapack`` is
 loaded, straight from its file: importing ``scipy.linalg`` would load the
@@ -59,42 +60,62 @@ _flapack = _load_flapack()
 dgttrf, dgttrs, zgttrf, zgttrs = (_flapack.dgttrf, _flapack.dgttrs,
                                   _flapack.zgttrf, _flapack.zgttrs)
 
-# Radau IIA of order 5 (Hairer and Wanner, Solving ODEs II, IV.8): the
-# Butcher matrix A, the weights E of the embedded error estimate, and the
-# step-size control of the standard Radau codes (safety 0.9, factor clipped
-# to [0.2, 10], a step kept with its factorizations while the factor stays
-# below 1.2).
-_S6 = 6 ** 0.5
-_A = np.array([[(88 - 7 * _S6) / 360, (296 - 169 * _S6) / 1800, (-2 + 3 * _S6) / 225],
-               [(296 + 169 * _S6) / 1800, (88 + 7 * _S6) / 360, (-2 - 3 * _S6) / 225],
-               [(16 - _S6) / 36, (16 + _S6) / 36, 1 / 9]])
-_E = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1]) / 3
+# Radau IIA with _STAGES stages, of order 2 _STAGES - 1 (Hairer and Wanner,
+# Solving ODEs II, IV.5 and IV.8), and the step-size control of the standard
+# Radau codes (safety 0.9, factor clipped to [0.2, 10], a step kept with its
+# factorizations while the factor stays below 1.2).
+_STAGES = 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _KEEP_BELOW = 0.9, 0.2, 10.0, 1.2
 
 
+def _radau_iia(s):
+    """The Butcher matrix A and the error weights E of the s-stage Radau IIA.
+
+    The nodes c are the zeros of d^(s-1)/dx^(s-1) x^(s-1) (x-1)^s, the last
+    one 1, and A solves the simplifying conditions C(s), sum_j A_ij
+    c_j^(k-1) = c_i^k / k for k = 1..s.  The embedded solution of order s
+    weighs G y at the start of the step by gamma_0, the real eigenvalue of
+    A, and the stages by bhat; E = (bhat - b) A^-1 / gamma_0, with b the
+    last row of A.
+    """
+    c = np.sort(np.roots(np.polyder(np.poly([0.0] * (s - 1) + [1.0] * s), s - 1)).real)
+    c[-1] = 1.0
+    k = np.arange(1, s + 1)
+    vander_t = (c[:, None] ** (k - 1)).T   # row k-1 holds c_j^(k-1)
+    a = np.linalg.solve(vander_t, (c[:, None] ** k / k).T).T
+    lam = np.linalg.eigvals(a)
+    gamma0 = lam[np.argmin(np.abs(lam.imag))].real
+    bhat = np.linalg.solve(vander_t, 1 / k - gamma0 * (k == 1))
+    return a, np.linalg.solve(a.T, bhat - a[-1]) / gamma0
+
+
+_A, _E = _radau_iia(_STAGES)
+
+
 def _stage_basis():
-    """Eigenvalues lambda_k and eigenvectors V of A, the real one first,
-    scaled so that V^-1 (1, 1, 1) = (1, 1, 1).  The stages Z = V W of
-    y' = G y then decouple into (MU_k/h - G) W_k = G y with MU_k = 1/lambda_k:
-    a real W_0 and a complex conjugate pair W_1, W_2."""
+    """The eigenbasis of A, scaled so that V^-1 (1, ..., 1) = (1, ..., 1).
+    The stages Z = V W of y' = G y then decouple into (MU_k/h - G) W_k = G y
+    with MU_k = 1/lambda_k: a real W_0 for the real eigenvalue, and one W_k
+    for each complex conjugate pair, its partner being W_k's conjugate.
+    Returns MU_0, the MU_k of the pairs and the columns of V for each."""
     lam, v = np.linalg.eig(_A)
-    order = np.argsort(np.abs(lam.imag))
-    lam, v = lam[order], v[:, order]
-    return 1 / lam[0].real, 1 / lam[1], v * np.linalg.solve(v, np.ones(3))
+    v = v * np.linalg.solve(v, np.ones(_STAGES))
+    real, pairs = np.argmin(np.abs(lam.imag)), np.flatnonzero(lam.imag > 0)
+    return 1 / lam[real].real, 1 / lam[pairs], v[:, real].real, v[:, pairs]
 
 
-_MU_REAL, _MU_COMPLEX, _V = _stage_basis()
-# the step Z_3 and the error combination E.Z as w_0 W_0 + Re(w_1 W_1)
-_STEP_WEIGHTS = (_V[2, 0].real, 2 * _V[2, 1])
-_ERROR_WEIGHTS = ((_E @ _V[:, 0]).real, 2 * (_E @ _V[:, 1]))
+_MU_REAL, _MU_COMPLEX, _V_REAL, _V_COMPLEX = _stage_basis()
+# the step Z_s and the error combination E.Z as w_0 W_0 + sum_k Re(w_k W_k)
+_STEP_WEIGHTS = (_V_REAL[-1], 2 * _V_COMPLEX[-1])
+_ERROR_WEIGHTS = (_E @ _V_REAL, 2 * (_E @ _V_COMPLEX))
 
 
 @dataclass
 class ChainSolution:
     """Amplitudes at the requested times, one column each, and the work
     done: nfev products G y (two to choose the first step, then one per
-    accepted step), nlu factorizations of the real and complex stage
-    matrices, and nreject rejected steps."""
+    accepted step), nlu sets of factorizations of the real and the complex
+    stage matrices, and nreject rejected steps."""
 
     y: np.ndarray
     nfev: int
@@ -110,20 +131,36 @@ def _gttrf(dl, d, du):
     return factors
 
 
+def _stages(lu_real, lu_complex, f):
+    """The step Z_s and the error combination E.Z of y' = G y, from the
+    factorizations of the real and the complex stage matrices and f = G y."""
+    w = dgttrs(*lu_real, f)[0]
+    dy, ze = _STEP_WEIGHTS[0] * w, _ERROR_WEIGHTS[0] * w
+    for lu, step_weight, error_weight in zip(lu_complex, _STEP_WEIGHTS[1], _ERROR_WEIGHTS[1]):
+        w = zgttrs(*lu, f)[0]
+        dy += (step_weight * w).real
+        ze += (error_weight * w).real
+    return dy, ze
+
+
 def _rms(x):
     return math.sqrt(np.dot(x, x) / x.size)
 
 
 def solve_ivp(generator, t_span, y0, *, t_eval, rtol):
-    """Integrate y' = G y from t_span[0] to t_span[1] by Radau IIA, to the
-    relative tolerance rtol and the absolute tolerance rtol/100.
+    """Integrate y' = G y from t_span[0] to t_span[1] by the _STAGES-stage
+    Radau IIA, to the relative tolerance rtol and the absolute tolerance
+    rtol/100.
 
     generator = (ia, b) is the constant real tridiagonal G with diagonal
     ia, subdiagonal b and superdiagonal -b.  t_eval is an increasing grid in
     t_span ending at t_span[1]; steps are cut to land on each of its times,
-    so the solution there needs no interpolation.  With a linear right-hand
-    side and an exact Jacobian a step is one real and one complex
-    tridiagonal solve for its stages, plus one real solve for its error
+    so the solution there needs no interpolation.  A step that ends within
+    rounding of a grid time lands on it, so no sliver of an interval is
+    left, and a landing step within rounding of the last factorized step
+    reuses that step and its factorizations.  With a linear right-hand side
+    and an exact Jacobian a step is one real and (_STAGES - 1)/2 complex
+    tridiagonal solves for its stages, plus one real solve for its error
     estimate.  A singular stage matrix or a step size below rounding raises
     NumericalContractError.
     """
@@ -142,43 +179,48 @@ def solve_ivp(generator, t_span, y0, *, t_eval, rtol):
     t, t_end = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float)
     f = apply(y)
-    # the first step for an error estimate of order 3 (Hairer, Norsett and
-    # Wanner, Solving ODEs I, II.4)
+    # the first step for an error estimate of order _STAGES (Hairer, Norsett
+    # and Wanner, Solving ODEs I, II.4)
+    exponent = -1 / (_STAGES + 1)
     scale = atol + rtol * np.abs(y)
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6, t_end - t)
     d2 = _rms((apply(y + h0 * f) - f) / scale) / h0
-    h = min(100 * h0, t_end - t, (0.01 / max(d1, d2)) ** 0.25
+    h = min(100 * h0, t_end - t, (0.01 / max(d1, d2)) ** -exponent
             if max(d1, d2) > 1e-15 else max(1e-6, 1e-3 * h0))
 
     out = np.empty((y.size, len(t_eval)))
-    h_lu = None
+    h_lu = math.inf
     for k, t_next in enumerate(t_eval):
         while t < t_next:
             if h < 10 * (math.nextafter(t, math.inf) - t):
                 raise NumericalContractError(f"step size underflow at t={t}")
-            step = min(h, t_next - t)
+            # a step that ends within rounding of t_next lands on it, and
+            # is the factorized step if that one lands within rounding too:
+            # grid spacings differ in their last bits
+            left, slack = t_next - t, 4 * math.ulp(max(abs(t), abs(t_next)))
+            landing = h >= left - slack
+            step = (h_lu if abs(left - h_lu) <= slack else left) if landing else h
             if step != h_lu:
+                lu_real = lu_complex = None   # freed before the new ones are made
                 lu_real = _gttrf(-b, _MU_REAL / step - ia, b)
-                lu_complex = _gttrf(-b, _MU_COMPLEX / step - ia, b)
+                lu_complex = [_gttrf(-b, mu / step - ia, b) for mu in _MU_COMPLEX]
                 h_lu = step
                 nlu += 1
-            w_real = dgttrs(*lu_real, f)[0]
-            w_complex = zgttrs(*lu_complex, f)[0]
-            y_new = y + _STEP_WEIGHTS[0] * w_real + (_STEP_WEIGHTS[1] * w_complex).real
-            ze = (_ERROR_WEIGHTS[0] * w_real + (_ERROR_WEIGHTS[1] * w_complex).real) / step
+            dy, ze = _stages(lu_real, lu_complex, f)
+            y_new = y + dy
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = _rms(dgttrs(*lu_real, f + ze)[0] / scale)
+            err_norm = _rms(dgttrs(*lu_real, f + ze / step)[0] / scale)
             if not err_norm <= 1:
                 # rejected; a nan estimate (an overflowed step) shrinks it most
-                h = step * (max(_MIN_FACTOR, _SAFETY * err_norm ** -0.25)
+                h = step * (max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
                             if math.isfinite(err_norm) else _MIN_FACTOR)
                 nreject += 1
                 continue
-            factor = (min(_MAX_FACTOR, _SAFETY * err_norm ** -0.25)
+            factor = (min(_MAX_FACTOR, _SAFETY * err_norm ** exponent)
                       if err_norm > 0 else _MAX_FACTOR)
             h = step * factor if factor >= _KEEP_BELOW else step
-            t = t_next if step == t_next - t else t + step
+            t = t_next if landing else t + step
             y, f = y_new, apply(y_new)
         out[:, k] = y
     return ChainSolution(out, nfev, nlu, nreject)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sysconf_with_4_gib_available
 from dsyk import cli, trees
-from dsyk.cli import build_parser, finite_n_bytes, main
+from dsyk.cli import build_parser, evolve_bytes, finite_n_bytes, main
 
 
 def read_csv(path):
@@ -135,7 +135,7 @@ def test_finite_n_memory_estimate():
     assert finite_n_bytes(32, 40) > 2 ** 39
 
 
-# one finite-N run in a fresh interpreter, so that nothing an earlier test
+# one run in a fresh interpreter, so that nothing an earlier test
 # allocated and kept is left out; prints the tracemalloc peak
 PEAK_CHILD = """
 import sys, tracemalloc
@@ -158,6 +158,19 @@ def test_finite_n_memory_estimate_covers_a_run(tmp_path, n):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert int(proc.stdout.splitlines()[-1]) <= finite_n_bytes(n, 10)
+
+
+def test_evolve_memory_estimate_covers_a_run(tmp_path):
+    # 20,473 sites: the stepper's factorizations peak at 451 bytes a site
+    # beyond the amplitudes, against 448 and 1 MiB estimated
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_CHILD, "--out", str(tmp_path), "evolve", "--u", "0.001",
+         "--eta", "1", "--tmax", "6", "--points", "8"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    manifest, _, _ = read_csv(tmp_path / "evolve_u0.001.csv")
+    assert int(proc.stdout.splitlines()[-1]) <= evolve_bytes(manifest["n_trunc"] + 1, 8)
 
 
 @pytest.mark.parametrize("n", [8, 14])
