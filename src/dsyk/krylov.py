@@ -66,10 +66,11 @@ class TridiagonalCoeffs:
         return [r.real if r.imag == 0.0 else r for r in roots]
 
     def a_array(self):
-        return np.asarray([complex(x) for x in self.a])
+        return np.asarray(self.a, dtype=complex)
 
     def b_array(self):
-        return np.asarray([complex(x) for x in self.b])
+        """The b_n as one complex array: the principal roots that b holds."""
+        return np.sqrt(np.asarray(self.b_sq, dtype=complex))
 
 
 def lanczos(apply, u0, n_max, hermitian=True, last_diagonal=True):

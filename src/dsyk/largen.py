@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .krylov import TridiagonalCoeffs, lanczos
-from .trees import TreeSpace
+from .trees import TreeSpace, gather
 
 
 def _common_scale(s, t):
@@ -208,15 +208,16 @@ class DiagramState:
         return math.sqrt(float(self.norm_sq()))
 
 
-def _scatter(index, gather, x, factor, size):
-    """out[index[e]] += factor[e] x[gather[e]], added in edge order from zero
+def _scatter(index, source, x, factor, size):
+    """out[index[e]] += factor[e] x[source[e]], added in edge order from zero
     as np.add.at adds: by bincount for a float step of one slice, else 2^18
-    edges at a time.  Non-floats are multiplied only where factor != 1."""
+    edges at a time.  x is read through trees.gather, np.take in checked
+    chunks.  Non-floats are multiplied only where factor != 1."""
     if x.dtype == np.float64 and len(index) <= 2 ** 18:
-        return np.bincount(index, factor * x[gather], minlength=size)
+        return np.bincount(index, factor * gather(x, source), minlength=size)
     out = np.zeros(size, dtype=x.dtype)
     for e in range(0, len(index), 2 ** 18):
-        values, f = x[gather[e:e + 2 ** 18]], factor[e:e + 2 ** 18]
+        values, f = gather(x, source[e:e + 2 ** 18]), factor[e:e + 2 ** 18]
         big = slice(None) if values.dtype == np.float64 else np.flatnonzero(f != 1)
         values[big] = f[big] * values[big]
         np.add.at(out, index[e:e + 2 ** 18], values)

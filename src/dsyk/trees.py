@@ -10,12 +10,13 @@ with a column of child ids per tree, padded with leading zeros: row j holds
 every tree's j-th smallest child, and a zero is a free slot of the root,
 where the single arc, the only successor of the empty diagram, can grow.
 Each generation is built from the one before in a few whole-row passes
-and its ids are contiguous.  Each step from generation n to n + 1 keeps,
-as CSR-ordered edge arrays, the removal multiplicities m(S -> T) =
-a(T -> S) |Aut S| / |Aut T| and the integers a(T -> S) slot(S) / slot(T),
-a(T -> S) the number of ways to attach a leaf to T that give S.  Growing
-inside a child c of T multiplies c's own edge integers, so they follow
-from earlier steps without any |Aut|.
+and its ids are contiguous; every gather over its edges or trees goes
+through ``gather``, a range-checked np.take.  Each step from generation n
+to n + 1 keeps, as CSR-ordered edge arrays, the removal multiplicities
+m(S -> T) = a(T -> S) |Aut S| / |Aut T| and the integers a(T -> S)
+slot(S) / slot(T), a(T -> S) the number of ways to attach a leaf to T
+that give S.  Growing inside a child c of T multiplies c's own edge
+integers, so they follow from earlier steps without any |Aut|.
 """
 
 from __future__ import annotations
@@ -90,16 +91,43 @@ class Step(NamedTuple):
     down: np.ndarray
 
 
-# the dtypes of the edge integers and CSR offsets, narrowest first
-_DTYPES = [np.dtype(t) for t in (np.uint8, np.uint16, np.int32, np.int64)]
+# the dtypes of the edge integers and CSR offsets, narrowest first, each
+# with the largest value it holds
+_MAXIMA = [(np.dtype(t), int(np.iinfo(t).max)) for t in (np.uint8, np.uint16, np.int32, np.int64)]
+
+# np.take converts an int32 index to intp, 8 bytes an index, so a long
+# gather takes this many indices at a time
+_TAKE = 2 ** 16
 
 
 def narrowest(top):
     """The narrowest of uint8, uint16, int32 and int64 that holds 0 .. top."""
-    for dt in _DTYPES:
-        if top <= np.iinfo(dt).max:
+    for dt, most in _MAXIMA:
+        if top <= most:
             return dt
     raise NumericalContractError(f"integer {top} does not fit in int64")
+
+
+def gather(x, index):
+    """x[index] for 1-d arrays, index of integers 0 .. len(x) - 1, by np.take,
+    which skips fancy indexing's per-element overhead.  An index past either
+    end raises IndexError: one of at most 32 bits is read unsigned, so that
+    a negative one is past the end, and a 64-bit one is checked for
+    negatives.  Up to _TAKE indices go to one np.take; past that the range
+    is checked once and np.take clips _TAKE indices at a time into the
+    output, unbuffered, so that its intp copy of the index stays short."""
+    if index.itemsize < 8:
+        index = index.view(f"u{index.itemsize}")
+    elif len(index) and int(index.min()) < 0:
+        raise IndexError(f"index {int(index.min())} is negative")
+    if len(index) <= _TAKE:
+        return np.take(x, index)
+    if int(index.max()) >= len(x):
+        raise IndexError(f"index {int(index.max())} is past the end, {len(x)}")
+    out = np.empty(len(index), dtype=x.dtype)
+    for e in range(0, len(index), _TAKE):
+        np.take(x, index[e:e + _TAKE], out=out[e:e + _TAKE], mode="clip")
+    return out
 
 
 def _narrow(values):
@@ -188,16 +216,16 @@ def _first_rows(keys, bits):
         order = np.argsort(key, kind="stable").astype(_index(size))
         key.sort()
     new = np.concatenate(([True], key[1:] != key[:-1]))   # where a group starts
-    firsts = order[new]
+    firsts, key = np.compress(new, order), np.compress(new, key)   # frees the whole key
     by_first = np.argsort(firsts)
     rank = np.empty(len(firsts), dtype=np.int32)
     rank[by_first] = np.arange(len(firsts), dtype=np.int32)
-    firsts, key = firsts[by_first], key[new][by_first]
+    firsts, key = gather(firsts, by_first), gather(key, by_first)
     del by_first
     group = np.cumsum(new, dtype=np.int32)   # each key's group, 1-based, in sorted order
     del new
     group -= 1
-    group = rank[group]
+    group = gather(rank, group)
     inverse = np.empty(size, dtype=np.int32)
     inverse[order] = group
     return key, firsts, inverse
@@ -219,7 +247,9 @@ class TreeSpace:
 
     A grown tree's child ids are re-sorted by one compare-exchange pass,
     and each generation is deduplicated by one sort of int64 keys that
-    pack each row of ``_gens[n]`` in its own bit width.
+    pack each row of ``_gens[n]`` in its own bit width.  The growth step
+    reads per-site and per-edge values through ``gather`` rather than
+    fancy indexing, and picks each key's first copy with np.compress.
 
     The edges of every step built so far are also stored once, as one CSR
     by global T id: offsets ``_ptr``, and per edge S's position in its
@@ -292,10 +322,10 @@ class TreeSpace:
         flat = np.flatnonzero(is_site.T)   # tree by tree
         del is_site
         k = np.diff(flat, append=kids.size)   # copies of c
+        c = gather(kids.T.ravel(), flat)
         row, col = np.divmod(flat, width)
         row, col = row.astype(_index(size)), _narrow(col)
         del flat
-        c = kids[col, row]
         root = c == VACUUM
         k_attach = _narrow(np.where(root, 1, k))
         # slot(S)/slot(T) at the root: the free slots q - 1 - len(kids)
@@ -311,10 +341,10 @@ class TreeSpace:
         # each site grows into every successor s of its child c: its edges
         # are ptr[c] .. ptr[c + 1] - 1 of the CSR of the earlier steps, and
         # s is a position in the generation after c's
-        first_edge = self._ptr[c]
-        deg = self._ptr[c + 1] - first_edge
+        first_edge = gather(self._ptr, c)
+        deg = gather(self._ptr, c + 1) - first_edge
         bounds = np.array(self.start, dtype=np.int32)
-        after_c = bounds[np.searchsorted(bounds, c, side="right")]
+        after_c = gather(bounds, np.searchsorted(bounds, c, side="right"))
         del c
         index = _index(max(int(deg.sum()), len(self._cols)))
         site = np.repeat(np.arange(len(row), dtype=np.int32), deg)
@@ -323,17 +353,17 @@ class TreeSpace:
         first_edge = first_edge.astype(index, copy=False) - (np.cumsum(deg, dtype=index) - deg)
         del deg
         edge = np.arange(len(site), dtype=index)
-        edge += first_edge[site]
+        edge += gather(first_edge, site)
         del first_edge
-        s = self._cols[edge]
-        s += after_c[site]
+        s = gather(self._cols, edge)
+        s += gather(after_c, site)
         del after_c
-        a = _times(k_attach[site], self._attach[edge])
-        d = _times(k_down[site], self._down[edge])
-        mult = self._mult[edge]
+        a = _times(gather(k_attach, site), gather(self._attach, edge))
+        d = _times(gather(k_down, site), gather(self._down, edge))
+        mult = gather(self._mult, edge)
         del edge, k_attach, k_down
-        rows = row[site]
-        where = col[site]
+        rows = gather(row, site)
+        where = gather(col, site)
         del site, row, col
         grown, m = _grown_rows(kids, rows, where, s, mult)
         del kids, where, mult, s
@@ -344,9 +374,9 @@ class TreeSpace:
         self._gens.append(_unpack(key, bits))
         # |Aut S| = |Aut T| m / a and slot(S) = slot(T) down / a, read on the
         # first edge into each S; a remainder would mean a wrong edge integer
-        t, af = lo + rows[firsts], a[firsts]
-        aut = checked_product(self.aut[t], m[firsts])
-        slot = checked_product(self.slot[t], d[firsts])
+        t, af = lo + gather(rows, firsts), gather(a, firsts)
+        aut = checked_product(gather(self.aut, t), gather(m, firsts))
+        slot = checked_product(gather(self.slot, t), gather(d, firsts))
         del t, firsts, key
         if (aut % af).any() or (slot % af).any():
             raise NumericalContractError(f"generation {n + 1}: |Aut| or slot "

@@ -4,6 +4,8 @@ The driver calls its vectors' own inner and iaxpy, so numpy vectors enter
 it wrapped as oracles.ArrayVector.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +140,26 @@ def test_tridiagonal_coeffs_shape_contract():
     # b is derived from b_sq: a real float root, a complex one only where needed
     c = TridiagonalCoeffs(a=[0.0, 0.0, 0.0], b_sq=[4.0, -1.0])
     assert c.b == [2.0, 1j] and isinstance(c.b[0], float)
+
+
+def test_coefficient_arrays_equal_the_per_element_conversion():
+    # one vectorized conversion and np.sqrt in place of complex() and
+    # cmath.sqrt site by site: the same values, negative b_sq included
+    rng = np.random.default_rng(0)
+    floats = (rng.normal(size=100_000) * 10.0 ** rng.integers(-8, 9, 100_000)).tolist()
+    mixed = [Fraction(1, 3), Fraction(-7, 2), Fraction(10 ** 30, 7), complex(-4.0, 0.0),
+             complex(4.0, -0.0), -2.5, 0.0, 5] + (rng.normal(size=(1000, 2)) @ [1, 1j]).tolist()
+    for entries in (floats, mixed):
+        c = TridiagonalCoeffs(a=entries[::-1] + [1.5], b_sq=entries)
+        a, b = c.a_array(), c.b_array()
+        assert a.dtype == b.dtype == np.complex128
+        assert np.array_equal(a, np.asarray([complex(x) for x in c.a]))
+        assert np.array_equal(b, np.asarray([complex(x) for x in c.b]))
+    # on the imaginary axis the two roundings may differ, by at most one ulp
+    b = TridiagonalCoeffs(a=[0, 0], b_sq=[-3j]).b_array()
+    ref = cmath.sqrt(-3j)
+    assert abs(b[0].real - ref.real) <= math.ulp(ref.real)
+    assert abs(b[0].imag - ref.imag) <= math.ulp(ref.imag)
 
 
 def test_hessenberg_error_zero_on_tridiagonal():
